@@ -100,6 +100,18 @@ fn time_ms<F: FnMut()>(reps: usize, mut f: F) -> f64 {
     best
 }
 
+/// Best-of-`reps` wall times of `a` and of `b`, in milliseconds, with the
+/// reps interleaved `a, b, a, b, …`: a slow host phase then lands on both
+/// sides of the ratio instead of on whichever side ran during it.
+fn time_pair_ms(reps: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
+    let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..reps {
+        best_a = best_a.min(time_ms(1, &mut a));
+        best_b = best_b.min(time_ms(1, &mut b));
+    }
+    (best_a, best_b)
+}
+
 fn run_machine(kind: TimelineKind, scripts: Vec<Script>, p: usize) -> u64 {
     let params = LogpParams::new(p, 16, 1, 2).unwrap();
     let config = LogpConfig {
@@ -120,16 +132,19 @@ fn timeline_section(out: &mut Vec<String>) {
     ];
     for (name, p, build) in cases {
         // Equal work both sides; 10 machine runs per timing rep.
-        let heap_ms = time_ms(5, || {
-            for _ in 0..10 {
-                black_box(run_machine(TimelineKind::BinaryHeap, build(), p));
+        let reps_of = |kind| {
+            let build = &build;
+            move || {
+                for _ in 0..10 {
+                    black_box(run_machine(kind, build(), p));
+                }
             }
-        });
-        let bucket_ms = time_ms(5, || {
-            for _ in 0..10 {
-                black_box(run_machine(TimelineKind::Bucket, build(), p));
-            }
-        });
+        };
+        let (heap_ms, bucket_ms) = time_pair_ms(
+            5,
+            reps_of(TimelineKind::BinaryHeap),
+            reps_of(TimelineKind::Bucket),
+        );
         eprintln!(
             "timeline/{name}: heap {heap_ms:.2} ms, bucket {bucket_ms:.2} ms, speedup {:.2}x",
             heap_ms / bucket_ms

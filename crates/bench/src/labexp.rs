@@ -31,7 +31,7 @@ use bvl_lab::{
     run_grid, CellSpec, CodeFingerprint, Experiment, GridReport, GridSpec, Job, OnStale,
     ShardedStore,
 };
-use bvl_logp::{LogpConfig, LogpMachine, LogpParams, Op, Script};
+use bvl_logp::{LogpConfig, LogpMachine, LogpParams, LogpProcess, Op, ProcView, Script};
 use bvl_model::{HRelation, Payload, ProcId};
 use bvl_obs::{CostReport, Registry};
 use std::path::Path;
@@ -367,7 +367,7 @@ pub mod thm1 {
     use super::*;
 
     /// A workload family, instantiable any number of times (the native and
-    /// the hosted run each need a fresh copy of the scripts).
+    /// the hosted run each need a fresh set of guest programs).
     #[derive(Clone, Copy)]
     pub enum Workload {
         /// `rounds` neighbor rounds on a `p`-cycle.
@@ -393,35 +393,63 @@ pub mod thm1 {
             }
         }
 
-        fn build(self) -> Vec<Script> {
+        fn p(self) -> usize {
             match self {
-                Workload::Ring { p, rounds } => (0..p)
-                    .map(|i| {
-                        let mut ops = Vec::new();
-                        for r in 0..rounds {
-                            ops.push(Op::Send {
-                                dst: ProcId(((i + 1) % p) as u32),
-                                payload: Payload::word(r as u32, i as i64),
-                            });
-                            ops.push(Op::Recv);
-                        }
-                        Script::new(ops)
-                    })
-                    .collect(),
-                Workload::AllToAll { p } => (0..p)
-                    .map(|me| {
-                        let mut ops = Vec::new();
-                        for t in 0..p - 1 {
-                            ops.push(Op::Send {
-                                dst: ProcId(((me + 1 + t) % p) as u32),
-                                payload: Payload::word(0, me as i64),
-                            });
-                        }
-                        ops.extend(std::iter::repeat_n(Op::Recv, p - 1));
-                        Script::new(ops)
-                    })
-                    .collect(),
+                Workload::Ring { p, .. } | Workload::AllToAll { p } => p,
             }
+        }
+
+        /// Operation `k` of processor `me`: a ring round is a send to the
+        /// right neighbour then a receive; the total exchange sends to
+        /// `me + 1, me + 2, …` then receives `p − 1` times. Past the end,
+        /// every operation is `Halt`.
+        fn op(self, me: usize, k: usize) -> Op {
+            match self {
+                Workload::Ring { p, rounds } if k < 2 * rounds => {
+                    if k.is_multiple_of(2) {
+                        Op::Send {
+                            dst: ProcId::from((me + 1) % p),
+                            payload: Payload::word((k / 2) as u32, me as i64),
+                        }
+                    } else {
+                        Op::Recv
+                    }
+                }
+                Workload::AllToAll { p } if k < p - 1 => Op::Send {
+                    dst: ProcId::from((me + 1 + k) % p),
+                    payload: Payload::word(0, me as i64),
+                },
+                Workload::AllToAll { p } if k < 2 * (p - 1) => Op::Recv,
+                _ => Op::Halt,
+            }
+        }
+
+        fn guests(self) -> Vec<Guest> {
+            (0..self.p())
+                .map(|me| Guest {
+                    workload: self,
+                    me: me as u32,
+                    next: 0,
+                })
+                .collect()
+        }
+    }
+
+    /// One guest processor of a [`Workload`]: generates its operations on
+    /// demand and keeps nothing it receives (a row reads only the native
+    /// makespan and the host cost), so a guest costs a few words however
+    /// long its program.
+    struct Guest {
+        workload: Workload,
+        me: u32,
+        next: u32,
+    }
+
+    impl LogpProcess for Guest {
+        fn next_op(&mut self, _view: &ProcView) -> Op {
+            let op = self.workload.op(self.me as usize, self.next as usize);
+            self.next = self.next.saturating_add(1);
+            op
         }
     }
 
@@ -442,17 +470,32 @@ pub mod thm1 {
     /// Run one case; returns the table row plus the cost attribution when
     /// the options carry an enabled registry.
     pub fn run_case(case: Case, opts: &RunOptions) -> (Vec<String>, Option<CostReport>) {
+        run_case_with(case, opts, Workload::guests)
+    }
+
+    /// [`run_case`] over the guest programs `guests` builds for the
+    /// workload (once per leg). The native machine is dropped before the
+    /// hosted leg starts, so the two legs never hold memory at once.
+    fn run_case_with<P: LogpProcess>(
+        case: Case,
+        opts: &RunOptions,
+        guests: impl Fn(Workload) -> Vec<P>,
+    ) -> (Vec<String>, Option<CostReport>) {
         let Case {
             logp,
             factor_g,
             factor_l,
             workload,
         } = case;
-        let mut native = LogpMachine::with_config(logp, LogpConfig::stall_free(), workload.build());
-        let native_time = native.run().expect("native run").makespan;
+        let native_time =
+            LogpMachine::with_config(logp, LogpConfig::stall_free(), guests(workload))
+                .run()
+                .expect("native run")
+                .makespan;
         let bsp = BspParams::new(logp.p, logp.g * factor_g, logp.l * factor_l).unwrap();
-        let rep = simulate_logp_on_bsp(logp, bsp, workload.build(), Theorem1Config::default(), opts)
-            .expect("hosted run");
+        let rep =
+            simulate_logp_on_bsp(logp, bsp, guests(workload), Theorem1Config::default(), opts)
+                .expect("hosted run");
         let slowdown = rep.bsp.cost.get() as f64 / native_time.get() as f64;
         let bound = theorem1_bound(bsp.g, bsp.l, logp.g, logp.l);
         let attributed = opts.registry.is_enabled().then(|| {
@@ -580,6 +623,110 @@ pub mod thm1 {
         }
         let (row, att) = run_case(case, &job.opts);
         (vec![row], att)
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        /// The guest programs as whole op lists, one `Script` per
+        /// processor: the construction the generated [`Guest`] replaces,
+        /// kept as its oracle.
+        fn scripts(workload: Workload) -> Vec<Script> {
+            match workload {
+                Workload::Ring { p, rounds } => (0..p)
+                    .map(|i| {
+                        let mut ops = Vec::new();
+                        for r in 0..rounds {
+                            ops.push(Op::Send {
+                                dst: ProcId(((i + 1) % p) as u32),
+                                payload: Payload::word(r as u32, i as i64),
+                            });
+                            ops.push(Op::Recv);
+                        }
+                        Script::new(ops)
+                    })
+                    .collect(),
+                Workload::AllToAll { p } => (0..p)
+                    .map(|me| {
+                        let mut ops = Vec::new();
+                        for t in 0..p - 1 {
+                            ops.push(Op::Send {
+                                dst: ProcId(((me + 1 + t) % p) as u32),
+                                payload: Payload::word(0, me as i64),
+                            });
+                        }
+                        ops.extend(std::iter::repeat_n(Op::Recv, p - 1));
+                        Script::new(ops)
+                    })
+                    .collect(),
+            }
+        }
+
+        #[test]
+        fn generated_guests_emit_the_script_ops() {
+            let mut workloads = Vec::new();
+            for p in [4usize, 16, 64] {
+                for rounds in [1usize, 4, 8] {
+                    workloads.push(Workload::Ring { p, rounds });
+                }
+            }
+            workloads.extend([2usize, 5, 16].map(|p| Workload::AllToAll { p }));
+            for workload in workloads {
+                let p = workload.p();
+                let params = LogpParams::new(p, 16, 1, 4).unwrap();
+                let oracle = scripts(workload);
+                assert_eq!(oracle.len(), p);
+                for (me, (mut script, mut guest)) in
+                    oracle.into_iter().zip(workload.guests()).enumerate()
+                {
+                    let view = ProcView {
+                        me: ProcId::from(me),
+                        p,
+                        now: bvl_model::Steps::ZERO,
+                        buffered: 0,
+                        params,
+                    };
+                    let mut k = 0;
+                    loop {
+                        let want = script.next_op(&view);
+                        let got = guest.next_op(&view);
+                        assert_eq!(
+                            got,
+                            want,
+                            "{} p={p}: processor {me}, op {k}",
+                            workload.name()
+                        );
+                        k += 1;
+                        if want == Op::Halt {
+                            break;
+                        }
+                    }
+                    assert_eq!(guest.next_op(&view), Op::Halt, "halt is final");
+                }
+            }
+        }
+
+        #[test]
+        fn generated_rows_match_script_rows_at_p4096() {
+            let cases = [
+                (Workload::Ring { p: 4096, rounds: 4 }, 1, 1),
+                (Workload::Ring { p: 4096, rounds: 8 }, 2, 4),
+                (Workload::AllToAll { p: 64 }, 2, 2),
+            ];
+            for (workload, factor_g, factor_l) in cases {
+                let case = Case {
+                    logp: LogpParams::new(workload.p(), 16, 1, 4).unwrap(),
+                    factor_g,
+                    factor_l,
+                    workload,
+                };
+                let opts = RunOptions::new();
+                let (generated, _) = run_case(case, &opts);
+                let (scripted, _) = run_case_with(case, &opts, scripts);
+                assert_eq!(generated.join("|"), scripted.join("|"));
+            }
+        }
     }
 }
 

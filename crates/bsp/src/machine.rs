@@ -22,6 +22,16 @@ pub struct RunReport {
     pub stats: BspReport,
 }
 
+/// Per-processor tallies of one superstep: local work, messages sent and
+/// messages received. Machine-owned and reset by each superstep, so a
+/// superstep allocates no `p`-sized vectors.
+#[derive(Default)]
+struct Scratch {
+    w_of: Vec<u64>,
+    sent: Vec<u64>,
+    recvd: Vec<u64>,
+}
+
 /// A BSP machine holding `p` processes of type `P`.
 ///
 /// The machine is generic over the process type so callers can recover final
@@ -36,6 +46,8 @@ pub struct BspMachine<P: BspProcess> {
     // the communication phase, allocation reused.
     outboxes: Vec<Vec<(ProcId, Payload)>>,
     halted: Vec<bool>,
+    // Per-superstep, per-processor tallies, recycled like the outboxes.
+    scratch: Scratch,
     ledger: CostLedger,
     stats: BspReport,
     instruments: Instruments,
@@ -72,6 +84,7 @@ impl<P: BspProcess> BspMachine<P> {
             inboxes: vec![Vec::new(); p],
             outboxes: vec![Vec::new(); p],
             halted: vec![false; p],
+            scratch: Scratch::default(),
             ledger: CostLedger::new(),
             stats: BspReport::new(p),
             instruments: Instruments::new(config.trace),
@@ -170,32 +183,34 @@ impl<P: BspProcess> BspMachine<P> {
             return None;
         }
         let p = self.params.p;
-        let mut w_max = 0u64;
-        let mut w_of = vec![0u64; p];
-        let mut sent = vec![0u64; p];
-        let mut recvd = vec![0u64; p];
+        let Scratch {
+            mut w_of,
+            mut sent,
+            mut recvd,
+        } = std::mem::take(&mut self.scratch);
+        w_of.resize(p, 0);
+        recvd.clear();
+        recvd.resize(p, 0);
         let t0 = self.ledger.total();
 
         // Local computation phase (sequential or multithreaded; identical
         // outcomes either way). Unread pool contents of non-retaining
         // machines are discarded inside the phase, per §2.1.
-        let outcomes = crate::parallel::local_phase(
-            &mut self.procs,
-            &mut self.inboxes,
-            &mut self.outboxes,
-            &self.halted,
+        crate::parallel::local_phase(
+            crate::parallel::LocalPhase {
+                procs: &mut self.procs,
+                inboxes: &mut self.inboxes,
+                outboxes: &mut self.outboxes,
+                halted: &mut self.halted,
+                w: &mut w_of,
+            },
             self.superstep,
             self.config.retain_unread,
             self.threads,
         );
-        for (i, outcome) in outcomes.into_iter().enumerate() {
-            w_max = w_max.max(outcome.w);
-            w_of[i] = outcome.w;
-            sent[i] = self.outboxes[i].len() as u64;
-            if outcome.halt {
-                self.halted[i] = true;
-            }
-        }
+        let w_max = w_of.iter().copied().max().unwrap_or(0);
+        sent.clear();
+        sent.extend(self.outboxes.iter().map(|ob| ob.len() as u64));
 
         // Communication phase: deterministic delivery order (sender id, then
         // submission order at the sender). With shards > 1 the destinations
@@ -271,6 +286,7 @@ impl<P: BspProcess> BspMachine<P> {
         if self.instruments.registry.is_enabled() {
             self.observe_superstep(&rec, t0, w_max, &w_of);
         }
+        self.scratch = Scratch { w_of, sent, recvd };
         self.superstep += 1;
         Some(rec)
     }

@@ -14,23 +14,23 @@
 use crate::process::{BspProcess, Status, SuperstepCtx};
 use bvl_model::{Envelope, Payload, ProcId};
 
-/// Result of one process's local phase. Sent messages are left in the
-/// processor's recycled outbox buffer rather than carried here.
-pub(crate) struct LocalOutcome {
-    pub w: u64,
-    pub halt: bool,
-}
-
-impl LocalOutcome {
-    fn idle() -> LocalOutcome {
-        LocalOutcome { w: 0, halt: true }
-    }
+/// The per-processor state one local phase reads and writes, as parallel
+/// slices indexed by processor id. Every slice belongs to the machine and
+/// is reused across supersteps, so a local phase allocates nothing.
+pub(crate) struct LocalPhase<'a, P> {
+    pub procs: &'a mut [P],
+    pub inboxes: &'a mut [Vec<Envelope>],
+    pub outboxes: &'a mut [Vec<(ProcId, Payload)>],
+    /// Read to skip halted processes; set for each process that halts.
+    pub halted: &'a mut [bool],
+    /// Filled with each process's local work (0 for halted ones).
+    pub w: &'a mut [u64],
 }
 
 /// Run the local phase of one process against its inbox, honouring the
 /// `retain_unread` pool semantics. The process's sends accumulate into
 /// `outbox` (passed empty, returned filled) so its allocation is reused
-/// across supersteps.
+/// across supersteps. Returns the local work and whether it halted.
 fn run_one<P: BspProcess>(
     proc: &mut P,
     inbox: &mut Vec<Envelope>,
@@ -39,7 +39,7 @@ fn run_one<P: BspProcess>(
     p: usize,
     me: usize,
     retain_unread: bool,
-) -> LocalOutcome {
+) -> (u64, bool) {
     let buf = std::mem::take(outbox);
     let mut ctx = SuperstepCtx::with_outbox(ProcId::from(me), p, superstep, inbox, buf);
     let status = proc.superstep(&mut ctx);
@@ -48,78 +48,78 @@ fn run_one<P: BspProcess>(
     if !retain_unread {
         inbox.clear();
     }
-    LocalOutcome {
-        w,
-        halt: status == Status::Halt,
+    (w, status == Status::Halt)
+}
+
+impl<P: BspProcess> LocalPhase<'_, P> {
+    /// Run every process of this block in order; `base` is the id of its
+    /// first processor and `p` the machine size.
+    fn run(self, base: usize, p: usize, superstep: u64, retain_unread: bool) {
+        let LocalPhase {
+            procs,
+            inboxes,
+            outboxes,
+            halted,
+            w,
+        } = self;
+        for (k, ((((proc, inbox), outbox), halted), w)) in procs
+            .iter_mut()
+            .zip(inboxes.iter_mut())
+            .zip(outboxes.iter_mut())
+            .zip(halted.iter_mut())
+            .zip(w.iter_mut())
+            .enumerate()
+        {
+            *w = 0;
+            if !*halted {
+                (*w, *halted) = run_one(proc, inbox, outbox, superstep, p, base + k, retain_unread);
+            }
+        }
     }
 }
 
 /// Execute the local phase for all non-halted processes, sequentially or on
-/// `threads` OS threads. Outcomes are indexed by processor id either way;
-/// processor `i`'s sends land in `outboxes[i]`.
+/// `threads` OS threads (in contiguous blocks of processors). Either way
+/// processor `i`'s work lands in `w[i]`, its halt in `halted[i]` and its
+/// sends in `outboxes[i]`.
 pub(crate) fn local_phase<P: BspProcess>(
-    procs: &mut [P],
-    inboxes: &mut [Vec<Envelope>],
-    outboxes: &mut [Vec<(ProcId, Payload)>],
-    halted: &[bool],
+    phase: LocalPhase<'_, P>,
     superstep: u64,
     retain_unread: bool,
     threads: usize,
-) -> Vec<LocalOutcome> {
-    let p = procs.len();
+) {
+    let p = phase.procs.len();
     if threads <= 1 || p < 2 {
-        return (0..p)
-            .map(|i| {
-                if halted[i] {
-                    LocalOutcome::idle()
-                } else {
-                    run_one(
-                        &mut procs[i],
-                        &mut inboxes[i],
-                        &mut outboxes[i],
-                        superstep,
-                        p,
-                        i,
-                        retain_unread,
-                    )
-                }
-            })
-            .collect();
+        phase.run(0, p, superstep, retain_unread);
+        return;
     }
-
     let chunk = p.div_ceil(threads.min(p));
-    let mut results: Vec<Vec<LocalOutcome>> = Vec::with_capacity(p.div_ceil(chunk));
+    let LocalPhase {
+        procs,
+        inboxes,
+        outboxes,
+        halted,
+        w,
+    } = phase;
     std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for (ci, (((pc, ic), oc), hc)) in procs
+        for (ci, ((((procs, inboxes), outboxes), halted), w)) in procs
             .chunks_mut(chunk)
             .zip(inboxes.chunks_mut(chunk))
             .zip(outboxes.chunks_mut(chunk))
-            .zip(halted.chunks(chunk))
+            .zip(halted.chunks_mut(chunk))
+            .zip(w.chunks_mut(chunk))
             .enumerate()
         {
-            let base = ci * chunk;
-            handles.push(s.spawn(move || {
-                pc.iter_mut()
-                    .zip(ic.iter_mut())
-                    .zip(oc.iter_mut())
-                    .zip(hc.iter())
-                    .enumerate()
-                    .map(|(k, (((proc, inbox), outbox), &is_halted))| {
-                        if is_halted {
-                            LocalOutcome::idle()
-                        } else {
-                            run_one(proc, inbox, outbox, superstep, p, base + k, retain_unread)
-                        }
-                    })
-                    .collect::<Vec<_>>()
-            }));
-        }
-        for h in handles {
-            results.push(h.join().expect("BSP worker thread panicked"));
+            let block = LocalPhase {
+                procs,
+                inboxes,
+                outboxes,
+                halted,
+                w,
+            };
+            s.spawn(move || block.run(ci * chunk, p, superstep, retain_unread));
         }
     });
-    results.into_iter().flatten().collect()
 }
 
 #[cfg(test)]

@@ -103,40 +103,41 @@ impl<P: LogpProcess> GuestCore<P> {
         self.halted && self.outgoing.is_empty()
     }
 
-    /// Simulate one cycle `[cycle_start, cycle_end)` of this guest:
-    /// `arrivals` are the messages routed in the previous superstep; sends
-    /// whose submissions fall inside the cycle go through `sink`.
+    /// A message routed in the previous superstep arrives at the start of
+    /// the cycle simulated now.
+    fn arrive(&mut self, mut env: Envelope, cycle_start: Steps) {
+        env.delivered = cycle_start;
+        self.queue.push_back(env);
+    }
+
+    /// Simulate one cycle `[cycle_start, cycle_end)` of this guest, after
+    /// the previous superstep's messages have [arrived](Self::arrive);
+    /// sends whose submissions fall inside the cycle go through `sink`.
     /// Returns `(busy steps, messages sent)`.
     fn run_cycle(
         &mut self,
         me: ProcId,
         cycle_start: Steps,
         cycle_end: Steps,
-        arrivals: Vec<Envelope>,
-        sink: &mut dyn FnMut(ProcId, Payload),
+        mut sink: impl FnMut(ProcId, Payload),
     ) -> (u64, u64) {
         let o = self.logp.o;
         let g = self.logp.g;
-        // 1. Previous superstep's messages arrive now.
-        for mut e in arrivals {
-            e.delivered = cycle_start;
-            self.queue.push_back(e);
-        }
-        // 2. Flush sends resolved in earlier cycles whose submission time
-        //    falls inside this cycle.
+        // Flush sends resolved in earlier cycles whose submission time
+        // falls inside this cycle.
         let mut busy = 0u64;
         let mut sent = 0u64;
-        while let Some(&(t_sub, dst, _)) = self.outgoing.front() {
-            if t_sub >= cycle_end {
-                break;
-            }
-            let (_, _, payload) = self.outgoing.pop_front().expect("peeked");
+        while self
+            .outgoing
+            .front()
+            .is_some_and(|&(t_sub, _, _)| t_sub < cycle_end)
+        {
+            let (_, dst, payload) = self.outgoing.pop_front().expect("peeked");
             sink(dst, payload);
             busy += o;
             sent += 1;
-            let _ = (t_sub, dst);
         }
-        // 3. Run the guest forward while its clock is inside this cycle.
+        // Run the guest forward while its clock is inside this cycle.
         while self.local_time < cycle_end && !self.halted {
             // Complete a Recv carried over from an earlier cycle.
             if self.pending_recv {
@@ -235,14 +236,14 @@ impl<P: LogpProcess> BspProcess for GuestProc<P> {
         let cycle_start = Steps(ctx.superstep_index() * cycle_len);
         let cycle_end = Steps((ctx.superstep_index() + 1) * cycle_len);
         let me = ProcId::from(ctx.me().index());
-        let arrivals = ctx.recv_all();
-        let mut sends: Vec<(ProcId, Payload)> = Vec::new();
-        let (busy, sent) = self.core.run_cycle(me, cycle_start, cycle_end, arrivals, &mut |d, p| {
-            sends.push((d, p));
-        });
-        for (dst, payload) in sends {
-            ctx.send(dst, payload);
+        while let Some(env) = ctx.recv() {
+            self.core.arrive(env, cycle_start);
         }
+        let (busy, sent) = self
+            .core
+            .run_cycle(me, cycle_start, cycle_end, |dst, payload| {
+                ctx.send(dst, payload)
+            });
         // `ctx.send` charged 1 per message; `busy` already includes the full
         // `o` per send, so top up only the difference.
         ctx.charge(busy.saturating_sub(sent).min(cycle_len));
@@ -291,11 +292,10 @@ impl<P: LogpProcess> BspProcess for ClusterProc<P> {
         let cycle_len = self.cores[0].cycle_len;
         let cycle_start = Steps(ctx.superstep_index() * cycle_len);
         let cycle_end = Steps((ctx.superstep_index() + 1) * cycle_len);
-        let cluster = self.cluster;
+        let (base, cluster) = (self.base, self.cluster);
 
         // Distribute arrivals to resident guests by virtual destination.
-        let mut per_guest: Vec<Vec<Envelope>> = vec![Vec::new(); self.cores.len()];
-        for e in ctx.recv_all() {
+        while let Some(e) = ctx.recv() {
             debug_assert_eq!(e.payload.tag, CLUSTER_TAG);
             let d = e.payload.data();
             let vsrc = d[0] as u32;
@@ -307,30 +307,24 @@ impl<P: LogpProcess> BspProcess for ClusterProc<P> {
                 Payload::words(d[2] as u32, &d[3..]),
             );
             inner.id = e.id;
-            per_guest[vdst - self.base].push(inner);
+            self.cores[vdst - base].arrive(inner, cycle_start);
         }
 
         let mut total_busy = 0u64;
         let mut total_sent = 0u64;
-        let mut outbound: Vec<(ProcId, Payload)> = Vec::new();
         for (k, core) in self.cores.iter_mut().enumerate() {
-            let vme = ProcId::from(self.base + k);
-            let arrivals = std::mem::take(&mut per_guest[k]);
-            let (busy, sent) =
-                core.run_cycle(vme, cycle_start, cycle_end, arrivals, &mut |vdst, payload| {
-                    let host = ProcId::from(vdst.index() / cluster);
-                    let mut data = Vec::with_capacity(3 + payload.data().len());
-                    data.push((self.base + k) as i64);
-                    data.push(vdst.index() as i64);
-                    data.push(payload.tag as i64);
-                    data.extend_from_slice(payload.data());
-                    outbound.push((host, Payload::from_vec(CLUSTER_TAG, data)));
-                });
+            let vme = ProcId::from(base + k);
+            let (busy, sent) = core.run_cycle(vme, cycle_start, cycle_end, |vdst, payload| {
+                let host = ProcId::from(vdst.index() / cluster);
+                let mut data = Vec::with_capacity(3 + payload.data().len());
+                data.push((base + k) as i64);
+                data.push(vdst.index() as i64);
+                data.push(payload.tag as i64);
+                data.extend_from_slice(payload.data());
+                ctx.send(host, Payload::from_vec(CLUSTER_TAG, data));
+            });
             total_busy += busy;
             total_sent += sent;
-        }
-        for (dst, payload) in outbound {
-            ctx.send(dst, payload);
         }
         ctx.charge(
             total_busy

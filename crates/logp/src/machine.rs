@@ -53,7 +53,7 @@ use bvl_model::stats::Accumulator;
 use bvl_model::trace::{Event, Trace};
 use bvl_model::{Envelope, ModelError, MsgId, ProcId, Steps};
 use bvl_obs::{Counter, CounterBlock, Hist, Registry, Span, SpanKind, SpanRing};
-use rand::Rng;
+use rand::{Rng, RngCore};
 use rand_chacha::ChaCha8Rng;
 use std::collections::{HashSet, VecDeque};
 use std::mem;
@@ -67,24 +67,74 @@ const SUB_NOTIFY: u8 = 1;
 const SUB_READY: u8 = 2;
 const SUB_BUDGET: u8 = u8::MAX;
 
+/// A shard-local envelope handle: an index into the shard's [`Slab`].
+type Handle = u32;
+
+/// A timeline event. Each variant carries one `u32` — a slab handle or a
+/// processor id — so an event is 8 bytes however wide the message body;
+/// the envelope itself stays in the shard's [`Slab`] from submission to
+/// acquisition.
 enum EvKind {
-    Deliver {
-        env: Envelope,
-    },
-    Submit {
-        env: Envelope,
-    },
-    Ready {
-        proc: usize,
-        acquired: Option<Envelope>,
-    },
+    /// The message in the slot arrives at its destination.
+    Deliver { env: Handle },
+    /// The message in the slot is submitted to the medium.
+    Submit { env: Handle },
+    /// An idle processor decides its next operation.
+    Ready { proc: u32 },
+    /// The message in the slot completes its acquisition; its destination
+    /// then decides its next operation.
+    Acquired { env: Handle },
     /// Re-poll the Stalling Rule for one destination after a transient
     /// capacity outage (see [`Medium::wake_hint`]): a time-varying medium
     /// may block acceptance with nothing in transit, so no Deliver event
     /// would otherwise re-run `try_accept`.
-    Wake {
-        dst: usize,
-    },
+    Wake { dst: u32 },
+}
+
+const _: () = assert!(mem::size_of::<EvKind>() <= 8);
+
+/// The envelopes a shard holds between submission and acquisition. Events,
+/// FIFOs and batches carry [`Handle`]s into it; a slot freed at
+/// acquisition (or at a dropped duplicate) goes on the free list and is
+/// reused first, so the slab stays as large as the peak number of
+/// messages in flight.
+#[derive(Default)]
+struct Slab {
+    slots: Vec<Option<Envelope>>,
+    free: Vec<Handle>,
+}
+
+impl Slab {
+    fn insert(&mut self, env: Envelope) -> Handle {
+        match self.free.pop() {
+            Some(h) => {
+                debug_assert!(self.slots[h as usize].is_none());
+                self.slots[h as usize] = Some(env);
+                h
+            }
+            None => {
+                let h = Handle::try_from(self.slots.len()).expect("slab handle overflow");
+                self.slots.push(Some(env));
+                h
+            }
+        }
+    }
+
+    #[inline]
+    fn get(&self, h: Handle) -> &Envelope {
+        self.slots[h as usize].as_ref().expect("live slab handle")
+    }
+
+    #[inline]
+    fn get_mut(&mut self, h: Handle) -> &mut Envelope {
+        self.slots[h as usize].as_mut().expect("live slab handle")
+    }
+
+    fn remove(&mut self, h: Handle) -> Envelope {
+        let env = self.slots[h as usize].take().expect("live slab handle");
+        self.free.push(h);
+        env
+    }
 }
 
 /// Cross-shard notification: the outcome of a submission, delivered to the
@@ -124,7 +174,7 @@ struct Failure {
     err: ModelError,
 }
 
-/// Per-destination RNG lanes, lazily materialized. Lane `d` is the
+/// Per-destination RNG lanes, derived on first draw. Lane `d` is the
 /// deterministic stream `derive("logp-dst", d)` of the run seed, so the
 /// draw sequence seen by destination `d`'s policy decisions depends only
 /// on the per-destination call sequence — which is shard-count-invariant.
@@ -143,10 +193,36 @@ impl Lanes {
         }
     }
 
-    fn lane(&mut self, dst: usize) -> &mut ChaCha8Rng {
+    fn rng(&mut self, dst: usize) -> &mut ChaCha8Rng {
         let stream = &self.stream;
         self.slots[dst - self.lo]
             .get_or_insert_with(|| Box::new(stream.derive("logp-dst", dst as u64)))
+    }
+
+    /// Lane `dst` as the medium sees it: the stream is derived only when
+    /// the medium actually draws, so the deterministic delivery policies
+    /// never seed (or box) a ChaCha state at all.
+    fn lazy(&mut self, dst: usize) -> LazyLane<'_> {
+        LazyLane { lanes: self, dst }
+    }
+}
+
+/// See [`Lanes::lazy`]. Forwards every [`RngCore`] method to the derived
+/// stream, so the draws are those the stream itself would give.
+struct LazyLane<'a> {
+    lanes: &'a mut Lanes,
+    dst: usize,
+}
+
+impl RngCore for LazyLane<'_> {
+    fn next_u32(&mut self) -> u32 {
+        self.lanes.rng(self.dst).next_u32()
+    }
+    fn next_u64(&mut self) -> u64 {
+        self.lanes.rng(self.dst).next_u64()
+    }
+    fn fill_bytes(&mut self, dest: &mut [u8]) {
+        self.lanes.rng(self.dst).fill_bytes(dest)
     }
 }
 
@@ -307,9 +383,10 @@ struct ShardSpec {
 }
 
 /// One worker's slice of the machine: struct-of-arrays processor state for
-/// the owned block, a private bucketed timeline, a medium replica, and the
-/// outgoing cross-shard mail of the current round. All vectors are indexed
-/// by *local* processor index (`global - lo`).
+/// the owned block, a private bucketed timeline, the slab of envelopes its
+/// events and FIFOs point into, a medium replica, and the outgoing
+/// cross-shard mail of the current round. All per-processor vectors are
+/// indexed by *local* processor index (`global - lo`).
 struct Shard<P: LogpProcess> {
     plan: ShardPlan,
     params: LogpParams,
@@ -320,6 +397,7 @@ struct Shard<P: LogpProcess> {
     programs: Vec<P>,
     medium: Box<dyn Medium + Send>,
     timeline: Timeline<EvKind>,
+    slab: Slab,
     lanes: Lanes,
     registry: Registry,
     now: Steps,
@@ -338,8 +416,8 @@ struct Shard<P: LogpProcess> {
     acquired_n: Vec<u64>,
     next_seq: Vec<u64>,
     max_buffer: Vec<usize>,
-    buffer: Vec<VecDeque<Envelope>>,
-    pending: Vec<VecDeque<Envelope>>,
+    buffer: Vec<VecDeque<Handle>>,
+    pending: Vec<VecDeque<Handle>>,
     in_transit: Vec<u64>,
     wake_at: Vec<Steps>,
     seen_ids: Option<Vec<HashSet<u64>>>,
@@ -356,8 +434,8 @@ struct Shard<P: LogpProcess> {
     wave: u64,
     initial_polled: bool,
     // --- round scratch ---
-    submit_batch: Vec<Envelope>,
-    ready_batch: Vec<(usize, Option<Envelope>)>,
+    submit_batch: Vec<Handle>,
+    ready_batch: Vec<(usize, Option<Handle>)>,
     self_notes: Vec<Note>,
     note_out: Vec<Vec<Note>>,
     submit_out: Vec<Vec<(Steps, Envelope)>>,
@@ -380,6 +458,7 @@ impl<P: LogpProcess> Shard<P> {
             programs,
             medium,
             timeline: Timeline::new(spec.config.timeline, span_hint),
+            slab: Slab::default(),
             lanes: Lanes::new(spec.config.seed, lo, n),
             registry: spec.registry.clone(),
             now: Steps::ZERO,
@@ -459,6 +538,22 @@ impl<P: LogpProcess> Shard<P> {
         }
     }
 
+    /// Stage the per-processor counters the struct-of-arrays state already
+    /// totals (submissions, acquisitions, stall episodes and steps) once,
+    /// as the run is absorbed, instead of once per event — the totals are
+    /// the same, and the counters tier pays per processor, not per message.
+    fn stage_totals(&mut self) {
+        if let Some(cb) = &mut self.counters {
+            for i in 0..self.n {
+                let proc = ProcId::from(self.lo + i);
+                cb.add(proc, Counter::Submitted, self.sent[i]);
+                cb.add(proc, Counter::Acquired, self.acquired_n[i]);
+                cb.add(proc, Counter::StallEpisodes, self.stall_episodes[i]);
+                cb.add(proc, Counter::StallSteps, self.stalled_time[i].get());
+            }
+        }
+    }
+
     /// Run rounds until the party quiesces or fails.
     fn work(&mut self, hub: &Hub) {
         while self.instant(hub) == Round::Ran {}
@@ -530,7 +625,7 @@ impl<P: LogpProcess> Shard<P> {
             match kind {
                 EvKind::Deliver { env } => self.on_deliver(env),
                 EvKind::Wake { dst } => {
-                    let _ = self.try_accept(dst, None);
+                    let _ = self.try_accept(dst as usize, None);
                 }
                 _ => unreachable!("phase Deliver holds only Deliver/Wake events"),
             }
@@ -547,49 +642,55 @@ impl<P: LogpProcess> Shard<P> {
             }
         }
         let mut batch = mem::take(&mut self.submit_batch);
-        batch.sort_by_key(|env| env.src.index());
-        for env in batch.drain(..) {
+        // Sources are unique within one instant's batch (submissions by
+        // one processor are at least `G ≥ 1` apart).
+        batch.sort_unstable_by_key(|&h| self.slab.get(h).src);
+        for h in batch.drain(..) {
             if self.error.is_some() {
                 break;
             }
-            self.on_submit(env);
+            self.on_submit(h);
         }
         self.submit_batch = batch;
     }
 
-    fn on_deliver(&mut self, mut env: Envelope) {
-        let dst = env.dst.index();
+    fn on_deliver(&mut self, h: Handle) {
+        let now = self.now;
+        let env = self.slab.get_mut(h);
+        env.delivered = now;
+        let (id, dst_id, latency) = (env.id, env.dst, env.latency().get());
+        let dst = dst_id.index();
         let lx = self.lx(dst);
-        env.delivered = self.now;
         self.in_transit[lx] -= 1;
         // At-least-once transport collapses to exactly-once at the buffer:
         // the second copy of a duplicated message frees its in-transit slot
         // but is dropped before the program can observe it.
         if let Some(seen) = &mut self.seen_ids {
-            if !seen[lx].insert(env.id.0) {
+            if !seen[lx].insert(id.0) {
+                self.slab.remove(h);
                 self.duplicates_dropped += 1;
                 if let Some(cb) = &mut self.counters {
-                    cb.add(env.dst, Counter::Duplicates, 1);
+                    cb.add(dst_id, Counter::Duplicates, 1);
                 }
                 let _ = self.try_accept(dst, None);
                 return;
             }
         }
         self.delivered += 1;
-        self.latency.push(env.latency().get() as f64);
+        self.latency.push(latency as f64);
         if let Some(cb) = &mut self.counters {
-            cb.add(env.dst, Counter::Delivered, 1);
-            cb.observe(Hist::DeliveryLatency, env.latency().get());
+            cb.add(dst_id, Counter::Delivered, 1);
+            cb.observe(Hist::DeliveryLatency, latency);
         }
         self.trace_ev(
-            (self.now, SUB_ARRIVAL, dst as u32),
+            (now, SUB_ARRIVAL, dst as u32),
             Event::Deliver {
-                at: self.now,
-                msg: env.id,
-                dst: env.dst,
+                at: now,
+                msg: id,
+                dst: dst_id,
             },
         );
-        self.buffer[lx].push_back(env);
+        self.buffer[lx].push_back(h);
         self.max_buffer[lx] = self.max_buffer[lx].max(self.buffer[lx].len());
         // A freed slot may admit pending submissions.
         let _ = self.try_accept(dst, None);
@@ -599,22 +700,22 @@ impl<P: LogpProcess> Shard<P> {
         }
     }
 
-    fn on_submit(&mut self, env: Envelope) {
-        let src = env.src;
-        let dst = env.dst.index();
-        let id = env.id;
+    fn on_submit(&mut self, h: Handle) {
+        let env = self.slab.get(h);
+        let (src, dst_id, id) = (env.src, env.dst, env.id);
         debug_assert_eq!(env.submitted, self.now);
+        let dst = dst_id.index();
         self.trace_ev(
             (self.now, SUB_ARRIVAL, dst as u32),
             Event::Submit {
                 at: self.now,
                 proc: src,
                 msg: id,
-                dst: env.dst,
+                dst: dst_id,
             },
         );
         let lx = self.lx(dst);
-        self.pending[lx].push_back(env);
+        self.pending[lx].push_back(h);
         if !self.try_accept(dst, Some(id)) {
             // Not accepted this instant: the sender stalls (§2.2).
             if self.config.forbid_stalling {
@@ -648,40 +749,42 @@ impl<P: LogpProcess> Shard<P> {
                 AcceptOrder::Lifo => self.pending[lx].len() - 1,
                 AcceptOrder::Random => {
                     let len = self.pending[lx].len();
-                    self.lanes.lane(dst).gen_range(0..len)
+                    self.lanes.rng(dst).gen_range(0..len)
                 }
             };
-            let mut env = self.pending[lx].remove(idx).expect("checked non-empty");
+            let h = self.pending[lx].remove(idx).expect("checked non-empty");
+            let env = self.slab.get_mut(h);
             env.accepted = self.now;
+            let (id, src) = (env.id, env.src.index());
             self.in_transit[lx] += 1;
             self.trace_ev(
                 (self.now, SUB_ARRIVAL, dst as u32),
                 Event::Accept {
                     at: self.now,
-                    msg: env.id,
+                    msg: id,
                 },
             );
-            if watch == Some(env.id) {
+            if watch == Some(id) {
                 watched = true;
             }
-            let src = env.src.index();
             self.note(src, Note::Accepted { src });
-            let deliver_at =
-                self.medium
-                    .delivery_time_checked(&env, self.now, self.lanes.lane(dst));
-            let dup_at =
-                self.medium
-                    .duplicate_delivery(&env, deliver_at, self.now, self.lanes.lane(dst));
+            let env = self.slab.get(h);
+            let mut lane = self.lanes.lazy(dst);
+            let deliver_at = self.medium.delivery_time_checked(env, self.now, &mut lane);
+            let dup_at = self
+                .medium
+                .duplicate_delivery(env, deliver_at, self.now, &mut lane);
             if let Some(at) = dup_at {
                 debug_assert!(at > self.now, "duplicate copy scheduled in the past");
                 // The extra copy occupies a slot like any accepted message
                 // (that pressure is the adversary's point).
                 self.in_transit[lx] += 1;
+                let copy = self.slab.insert(env.clone());
                 self.timeline
-                    .push(at, Phase::Deliver, EvKind::Deliver { env: env.clone() });
+                    .push(at, Phase::Deliver, EvKind::Deliver { env: copy });
             }
             self.timeline
-                .push(deliver_at, Phase::Deliver, EvKind::Deliver { env });
+                .push(deliver_at, Phase::Deliver, EvKind::Deliver { env: h });
         }
         if !self.pending[lx].is_empty() && self.in_transit[lx] == 0 {
             // Blocked with nothing in flight: only a time-varying medium
@@ -690,7 +793,8 @@ impl<P: LogpProcess> Shard<P> {
                 debug_assert!(at > self.now, "wake hint must be in the future");
                 if self.wake_at[lx] <= self.now {
                     self.wake_at[lx] = at;
-                    self.timeline.push(at, Phase::Deliver, EvKind::Wake { dst });
+                    self.timeline
+                        .push(at, Phase::Deliver, EvKind::Wake { dst: dst as u32 });
                 }
             }
         }
@@ -723,9 +827,6 @@ impl<P: LogpProcess> Shard<P> {
                     self.stalling[lx] = true;
                     self.stall_since[lx] = self.now;
                     self.stall_episodes[lx] += 1;
-                    if let Some(cb) = &mut self.counters {
-                        cb.add(ProcId::from(src), Counter::StallEpisodes, 1);
-                    }
                     self.trace_ev(
                         (self.now, SUB_NOTIFY, src as u32),
                         Event::StallBegin {
@@ -741,7 +842,6 @@ impl<P: LogpProcess> Shard<P> {
                         let window = self.now - self.stall_since[lx];
                         self.stalled_time[lx] += window;
                         if let Some(cb) = &mut self.counters {
-                            cb.add(ProcId::from(src), Counter::StallSteps, window.get());
                             cb.observe(Hist::StallDuration, window.get());
                         }
                         if let Some(ring) = &self.ring {
@@ -804,8 +904,12 @@ impl<P: LogpProcess> Shard<P> {
             while let Some(kind) = self.timeline.pop_at(self.now, Phase::Ready) {
                 self.events += 1;
                 match kind {
-                    EvKind::Ready { proc, acquired } => self.ready_batch.push((proc, acquired)),
-                    _ => unreachable!("phase Ready holds only Ready events"),
+                    EvKind::Ready { proc } => self.ready_batch.push((proc as usize, None)),
+                    EvKind::Acquired { env } => {
+                        let proc = self.slab.get(env).dst.index();
+                        self.ready_batch.push((proc, Some(env)));
+                    }
+                    _ => unreachable!("phase Ready holds only Ready/Acquired events"),
                 }
             }
             if self.ready_batch.is_empty() {
@@ -817,7 +921,8 @@ impl<P: LogpProcess> Shard<P> {
                 if self.error.is_some() {
                     break;
                 }
-                if let Some(env) = acquired {
+                if let Some(h) = acquired {
+                    let env = self.slab.remove(h);
                     self.trace_ev(
                         (self.now, SUB_READY, proc as u32),
                         Event::Acquire {
@@ -828,9 +933,6 @@ impl<P: LogpProcess> Shard<P> {
                     );
                     let lx = self.lx(proc);
                     self.acquired_n[lx] += 1;
-                    if let Some(cb) = &mut self.counters {
-                        cb.add(ProcId::from(proc), Counter::Acquired, 1);
-                    }
                     self.programs[lx].on_recv(env);
                 }
                 self.poll(proc);
@@ -852,14 +954,8 @@ impl<P: LogpProcess> Shard<P> {
         self.next_acquire_min[lx] = t_acq + Steps(self.params.g);
         self.waiting_recv[lx] = false;
         self.busy[lx] += Steps(self.params.o);
-        self.timeline.push(
-            t_acq,
-            Phase::Ready,
-            EvKind::Ready {
-                proc,
-                acquired: Some(env),
-            },
-        );
+        self.timeline
+            .push(t_acq, Phase::Ready, EvKind::Acquired { env });
     }
 
     /// Ask an operational, idle processor for operations until one takes time.
@@ -905,23 +1001,14 @@ impl<P: LogpProcess> Shard<P> {
                     self.timeline.push(
                         self.now + Steps(n),
                         Phase::Ready,
-                        EvKind::Ready {
-                            proc,
-                            acquired: None,
-                        },
+                        EvKind::Ready { proc: proc as u32 },
                     );
                     return;
                 }
                 Op::WaitUntil(t) => {
                     if t > self.now {
-                        self.timeline.push(
-                            t,
-                            Phase::Ready,
-                            EvKind::Ready {
-                                proc,
-                                acquired: None,
-                            },
-                        );
+                        self.timeline
+                            .push(t, Phase::Ready, EvKind::Ready { proc: proc as u32 });
                         return;
                     }
                     zero_ops += 1;
@@ -952,9 +1039,6 @@ impl<P: LogpProcess> Shard<P> {
                     self.next_submit_min[lx] = t_sub + Steps(self.params.g);
                     self.busy[lx] += Steps(self.params.o);
                     self.sent[lx] += 1;
-                    if let Some(cb) = &mut self.counters {
-                        cb.add(ProcId::from(proc), Counter::Submitted, 1);
-                    }
                     // Per-source id lanes: unique across the run and
                     // independent of cross-shard interleaving.
                     let id = MsgId(self.next_seq[lx] * self.params.p as u64 + proc as u64);
@@ -970,6 +1054,7 @@ impl<P: LogpProcess> Shard<P> {
                     };
                     let owner = self.plan.owner(dst.index());
                     if owner == self.me && t_sub > self.now {
+                        let env = self.slab.insert(env);
                         self.timeline
                             .push(t_sub, Phase::Submit, EvKind::Submit { env });
                     } else {
@@ -1002,6 +1087,7 @@ impl<P: LogpProcess> Shard<P> {
             }
             if s == self.me {
                 for (t, env) in out.drain(..) {
+                    let env = self.slab.insert(env);
                     self.timeline.push(t, Phase::Submit, EvKind::Submit { env });
                 }
             } else {
@@ -1020,6 +1106,7 @@ impl<P: LogpProcess> Shard<P> {
         }
         let submits = mem::take(&mut hub.inboxes[self.me].lock().unwrap().submits);
         for (t, env) in submits {
+            let env = self.slab.insert(env);
             self.timeline.push(t, Phase::Submit, EvKind::Submit { env });
         }
     }
@@ -1080,7 +1167,7 @@ impl<P: LogpProcess> LogpMachine<P> {
     }
 
     /// Apply shared [`RunOptions`]: attach the observability registry
-    /// (per-event counters, latency/stall histograms, one
+    /// (per-processor counters, latency/stall histograms, one
     /// [`SpanKind::Stall`] span per stall window — one branch per site when
     /// disabled), upgrade tracing, apply an explicit event budget, raise
     /// the shard count, and wrap the transport in the options' fault
@@ -1254,6 +1341,7 @@ impl<P: LogpProcess> LogpMachine<P> {
             if let Some(ring) = &s.ring {
                 self.instruments.registry.note_spans_dropped(ring.dropped());
             }
+            s.stage_totals();
             if let Some(cb) = &mut s.counters {
                 self.instruments.registry.absorb_counters(cb);
             }
