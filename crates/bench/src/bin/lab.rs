@@ -594,7 +594,7 @@ fn main() {
                         c.params.clone(),
                         c.plan.clone().unwrap_or_else(|| "-".into()),
                         c.rows.len().to_string(),
-                        c.key[..12].to_string(),
+                        c.key.chars().take(12).collect(),
                     ]
                 })
                 .collect();

@@ -441,12 +441,21 @@ pub fn legacy_grids(name: &str, smoke: bool) -> Option<Vec<GridSpec>> {
 
 /// The work item behind `cell` in a compiled grid.
 pub fn work_for<'a>(grid: &'a CompiledGrid, cell: &CellSpec) -> &'a Work {
-    grid.spec
-        .cells
-        .iter()
-        .position(|c| c.domain == cell.domain && c.index == cell.index)
-        .map(|i| &grid.work[i])
+    find_work(grid, cell)
         .unwrap_or_else(|| panic!("cell {}[{}] not in compiled grid", cell.domain, cell.index))
+}
+
+/// `compile` numbers a grid's cells by declaration position, so
+/// `spec.cells` is strictly increasing in `index` (a smoke compile drops
+/// cells but keeps the order): binary-search the index, then check the
+/// domain.
+fn find_work<'a>(grid: &'a CompiledGrid, cell: &CellSpec) -> Option<&'a Work> {
+    let i = grid
+        .spec
+        .cells
+        .binary_search_by_key(&cell.index, |c| c.index)
+        .ok()?;
+    (grid.spec.cells[i].domain == cell.domain).then(|| &grid.work[i])
 }
 
 /// Compute one cell from its typed work description. `captured` follows
@@ -661,17 +670,12 @@ impl ScenarioExperiment {
     }
 
     fn work_of(&self, cell: &CellSpec) -> &Work {
-        for grid in self.full.grids.iter().chain(self.smoke.grids.iter()) {
-            if let Some(i) = grid
-                .spec
-                .cells
-                .iter()
-                .position(|c| c.domain == cell.domain && c.index == cell.index)
-            {
-                return &grid.work[i];
-            }
-        }
-        panic!("unknown {} cell {}[{}]", self.name, cell.domain, cell.index)
+        self.full
+            .grids
+            .iter()
+            .chain(self.smoke.grids.iter())
+            .find_map(|grid| find_work(grid, cell))
+            .unwrap_or_else(|| panic!("unknown {} cell {}[{}]", self.name, cell.domain, cell.index))
     }
 }
 
@@ -825,6 +829,60 @@ mod tests {
         let exp = ScenarioExperiment::new("thm2");
         let flagged = Experiment::audit(&exp, &grid.spec, &broken);
         assert_eq!(flagged.len(), violations.len());
+    }
+
+    /// A smoke compile keeps declared indices, so its grids have gaps;
+    /// the binary search must still find every kept cell, from the grid
+    /// and from the experiment's full + smoke lowerings, and a cell at a
+    /// present index under another domain, or at a dropped index, is a
+    /// miss.
+    #[test]
+    fn work_lookup_finds_smoke_cells_across_gaps_and_misses_a_wrong_domain() {
+        let mut gaps = 0;
+        for name in NAMES {
+            let smoke = compiled(name, true);
+            let exp = ScenarioExperiment::new(name);
+            for grid in &smoke.grids {
+                for (i, cell) in grid.spec.cells.iter().enumerate() {
+                    assert!(std::ptr::eq(work_for(grid, cell), &grid.work[i]));
+                    let found = exp.work_of(cell);
+                    assert!(
+                        found == &grid.work[i],
+                        "{name} {}[{}]",
+                        cell.domain,
+                        cell.index
+                    );
+                    let mut elsewhere = cell.clone();
+                    elsewhere.domain.push_str("-elsewhere");
+                    assert!(
+                        find_work(grid, &elsewhere).is_none(),
+                        "wrong domain must miss"
+                    );
+                }
+                for w in grid.spec.cells.windows(2) {
+                    if w[1].index > w[0].index + 1 {
+                        gaps += 1;
+                        let mut dropped = w[0].clone();
+                        dropped.index += 1;
+                        assert!(
+                            find_work(grid, &dropped).is_none(),
+                            "dropped index must miss"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(gaps > 0, "some shipped smoke grid must skip indices");
+    }
+
+    #[test]
+    #[should_panic(expected = "not in compiled grid")]
+    fn work_for_panics_on_a_cell_the_grid_lacks() {
+        let smoke = compiled("thm2", true);
+        let grid = &smoke.grids[0];
+        let mut cell = grid.spec.cells[0].clone();
+        cell.domain.push_str("-elsewhere");
+        work_for(grid, &cell);
     }
 
     #[test]

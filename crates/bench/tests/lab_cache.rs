@@ -127,3 +127,63 @@ fn warm_table1_is_ten_times_faster_and_identical() {
     let _ = std::fs::remove_dir_all(&store);
     let _ = std::fs::remove_dir_all(&work);
 }
+
+/// `lab query` prints a 12-character key prefix. A damaged store can
+/// hold keys shorter than that, or with a multi-byte character across
+/// byte 12; the listing must show them, not panic.
+#[test]
+fn query_lists_cells_whose_keys_are_short_or_not_char_aligned() {
+    use bvl_lab::{Cell, CodeFingerprint, OnStale, Store};
+    let dir = tmpdir("damaged-keys");
+    let keys = [
+        "0123456789abcdef0123456789abcdef",
+        "00112233445566778899aabbccddeeff",
+        "ffeeddccbbaa99887766554433221100",
+    ];
+    {
+        let mut store = Store::open(&dir, CodeFingerprint::current(), OnStale::Error).unwrap();
+        for (i, key) in keys.iter().enumerate() {
+            store
+                .put(Cell {
+                    key: key.to_string(),
+                    exp: "bsf".into(),
+                    domain: "d".into(),
+                    index: i,
+                    params: format!("i={i}"),
+                    plan: None,
+                    rows: vec![vec![format!("r{i}")]],
+                })
+                .unwrap();
+        }
+    }
+    // Damage two records' keys in place: one too short to slice, one
+    // with a two-byte character straddling byte 12.
+    let seg = dir.join("segment-00000.jsonl");
+    let text = std::fs::read_to_string(&seg).unwrap();
+    let text = text
+        .replace(keys[1], "abc")
+        .replace(keys[2], "0123456789aé-rest");
+    std::fs::write(&seg, text).unwrap();
+
+    let out = Command::new(env!("CARGO_BIN_EXE_lab"))
+        .args(["query", "--dir"])
+        .arg(&dir)
+        .arg("bsf")
+        .output()
+        .expect("lab runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "lab query failed: {}\n{stdout}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    for prefix in ["0123456789ab", "abc", "0123456789aé"] {
+        assert!(
+            stdout
+                .lines()
+                .any(|l| l.trim_end_matches(['|', ' ']).ends_with(prefix)),
+            "no row ends with key prefix {prefix:?}:\n{stdout}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

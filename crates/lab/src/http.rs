@@ -47,11 +47,12 @@
 //!   [`ScenarioRunner`]. Exactly one of the two fields must be present.
 
 use crate::epoll::{Epoll, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-use crate::jsonio::{encode_rows, escape, Cursor};
+use crate::jsonio::{encode_rows_into, escape, escape_into, Cursor};
 use crate::scheduler::{run_grid, CellSpec, GridReport, GridSpec, Job};
 use crate::shard::ShardedStore;
 use bvl_obs::{Counter, Hist, Registry, Tier};
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -1038,33 +1039,41 @@ fn metrics_body(service: &Service) -> String {
     )
 }
 
+/// The `GET /cells` body, written from the experiment's cells borrowed
+/// under the shard locks into one buffer sized for the unescaped text.
 fn cells_body(service: &Service, exp: &str) -> String {
-    let cells: Vec<String> = service
-        .store
-        .cells_for(exp)
-        .into_iter()
-        .map(|c| {
-            let plan = c
-                .plan
-                .as_deref()
-                .map_or_else(|| "null".into(), |p| format!("\"{}\"", escape(p)));
-            format!(
-                "{{\"key\":\"{}\",\"domain\":\"{}\",\"index\":{},\"params\":\"{}\",\
-                 \"plan\":{plan},\"payload\":{}}}",
-                escape(&c.key),
-                escape(&c.domain),
-                c.index,
-                escape(&c.params),
-                encode_rows(&c.rows)
-            )
-        })
-        .collect();
-    format!(
-        "{{\"exp\":\"{}\",\"count\":{},\"cells\":[{}]}}",
-        escape(exp),
-        cells.len(),
-        cells.join(",")
-    )
+    service.store.with_cells_for(exp, |cells| {
+        let hint: usize = cells.iter().map(|c| c.encoded_len_hint()).sum();
+        let mut out = String::with_capacity(64 + exp.len() + hint);
+        out.push_str("{\"exp\":\"");
+        escape_into(&mut out, exp);
+        let _ = write!(out, "\",\"count\":{},\"cells\":[", cells.len());
+        for (i, c) in cells.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"key\":\"");
+            escape_into(&mut out, &c.key);
+            out.push_str("\",\"domain\":\"");
+            escape_into(&mut out, &c.domain);
+            let _ = write!(out, "\",\"index\":{},\"params\":\"", c.index);
+            escape_into(&mut out, &c.params);
+            out.push_str("\",\"plan\":");
+            match &c.plan {
+                Some(plan) => {
+                    out.push('"');
+                    escape_into(&mut out, plan);
+                    out.push('"');
+                }
+                None => out.push_str("null"),
+            }
+            out.push_str(",\"payload\":");
+            encode_rows_into(&mut out, &c.rows);
+            out.push('}');
+        }
+        out.push_str("]}");
+        out
+    })
 }
 
 #[cfg(test)]

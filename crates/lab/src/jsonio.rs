@@ -6,30 +6,52 @@
 //! array-of-array-of-strings `payload`), with full string escaping —
 //! payload cells are experiment rows and may contain quotes or non-ASCII.
 
-use std::fmt::Write as _;
-
 /// Escape `s` into a JSON string literal body (no surrounding quotes).
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    escape_into(&mut out, s);
+    out
+}
+
+/// Append the JSON string literal body of `s` (no surrounding quotes) to
+/// `out`. Every byte that needs an escape is ASCII, and no byte of a
+/// multi-byte UTF-8 sequence is, so the scan copies whole unescaped runs
+/// at once and splits only at ASCII boundaries.
+pub(crate) fn escape_into(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(HEX[usize::from(b >> 4)] as char);
+                out.push(HEX[usize::from(b & 0xf)] as char);
             }
-            c => out.push(c),
         }
     }
-    out
+    out.push_str(&s[run..]);
 }
 
 /// Encode a list of table rows as a JSON array of arrays of strings.
 pub fn encode_rows(rows: &[Vec<String>]) -> String {
-    let mut out = String::from("[");
+    let mut out = String::new();
+    encode_rows_into(&mut out, rows);
+    out
+}
+
+/// Append [`encode_rows`]'s encoding of `rows` to `out`.
+pub(crate) fn encode_rows_into(out: &mut String, rows: &[Vec<String>]) {
+    out.push('[');
     for (i, row) in rows.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -40,13 +62,12 @@ pub fn encode_rows(rows: &[Vec<String>]) -> String {
                 out.push(',');
             }
             out.push('"');
-            out.push_str(&escape(cell));
+            escape_into(out, cell);
             out.push('"');
         }
         out.push(']');
     }
     out.push(']');
-    out
 }
 
 /// A single-pass cursor over a JSON text slice.
@@ -227,6 +248,67 @@ pub fn decode_rows(text: &str) -> Result<Vec<Vec<String>>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::fmt::Write as _;
+
+    /// The char-wise escaper `escape_into` replaced, kept as its oracle.
+    fn escape_charwise(s: &str) -> String {
+        let mut out = String::with_capacity(s.len() + 2);
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    /// Characters weighted toward the ones that need escaping: every
+    /// control byte, the quote and the backslash, then printable ASCII and
+    /// any other scalar value (surrogate draws fall back to U+FFFD).
+    fn hostile_char() -> impl Strategy<Value = char> {
+        prop_oneof![
+            (0u8..0x20).prop_map(char::from),
+            Just('"'),
+            Just('\\'),
+            (0x20u8..0x80).prop_map(char::from),
+            (0x80u32..0x11_0000).prop_map(|u| char::from_u32(u).unwrap_or('\u{fffd}')),
+        ]
+    }
+
+    fn hostile_string(max: usize) -> impl Strategy<Value = String> {
+        proptest::collection::vec(hostile_char(), 0..max).prop_map(String::from_iter)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn escape_into_matches_the_charwise_escape(
+            prefix in hostile_string(8),
+            s in hostile_string(48),
+        ) {
+            let mut out = prefix.clone();
+            escape_into(&mut out, &s);
+            prop_assert_eq!(&out[..prefix.len()], prefix.as_str());
+            prop_assert_eq!(&out[prefix.len()..], escape_charwise(&s));
+            prop_assert_eq!(escape(&s), escape_charwise(&s));
+        }
+    }
+
+    #[test]
+    fn every_ascii_byte_escapes_like_the_charwise_escape() {
+        for b in 0u8..0x80 {
+            let s = format!("a{}b{}", char::from(b), char::from(b));
+            assert_eq!(escape(&s), escape_charwise(&s), "byte {b:#04x}");
+        }
+    }
 
     #[test]
     fn rows_round_trip_with_hostile_cells() {

@@ -109,13 +109,19 @@ impl GridSpec {
 
     /// The content address of one of this grid's cells under `code`.
     pub fn key_of(&self, code: &CodeFingerprint, cell: &CellSpec) -> String {
+        self.key_with(code, &self.opts.canonical(), cell)
+    }
+
+    /// [`GridSpec::key_of`] with the grid's canonical options computed
+    /// once by the caller, for keying every cell of a grid.
+    fn key_with(&self, code: &CodeFingerprint, canonical: &str, cell: &CellSpec) -> String {
         cell_key(
             code,
             &self.exp,
             &cell.domain,
             cell.index,
             &cell.params,
-            &self.opts.canonical(),
+            canonical,
             cell.plan.as_deref(),
         )
     }
@@ -223,8 +229,9 @@ where
     let mut missing: Vec<(usize, String)> = Vec::new(); // (slot, key)
     let mut hits = 0;
     let mut forced = 0;
+    let canonical = grid.opts.canonical();
     for (slot, cell) in grid.cells.iter().enumerate() {
-        let key = grid.key_of(&code, cell);
+        let key = grid.key_with(&code, &canonical, cell);
         if cell.force {
             forced += 1;
             missing.push((slot, key));

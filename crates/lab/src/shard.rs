@@ -27,10 +27,11 @@
 use crate::fingerprint::CodeFingerprint;
 use crate::jsonio::Cursor;
 use crate::store::{Cell, GcReport, OnStale, Store};
+use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// On-disk shard-manifest format version.
 pub const SHARDS_FORMAT: u32 = 1;
@@ -288,45 +289,65 @@ impl ShardedStore {
             .cloned()
     }
 
-    /// Append a cell to the shard its key routes to.
+    /// Append a cell to the shard its key routes to. The record line is
+    /// encoded before the shard lock is taken, so the lock covers only
+    /// the append and the index update.
     pub fn put(&self, cell: Cell) -> io::Result<()> {
+        let line = cell.encode();
         self.shards[self.route(&cell.key)]
             .lock()
             .expect("shard poisoned")
-            .put(cell)
+            .put_encoded(cell, &line)
     }
 
     /// All live cells across shards, sorted by `(exp, domain, index, key)`
     /// — the same total order a 1-shard store reports, so query output is
     /// independent of the shard count.
     pub fn cells(&self) -> Vec<Cell> {
-        let mut all: Vec<Cell> = Vec::new();
-        for s in &self.shards {
-            all.extend(s.lock().expect("shard poisoned").cells().into_iter().cloned());
-        }
+        let guards = self.lock_all();
+        let mut all: Vec<&Cell> = guards.iter().flat_map(|s| s.cells()).collect();
         all.sort_by(|a, b| {
             (&a.exp, &a.domain, a.index, &a.key).cmp(&(&b.exp, &b.domain, b.index, &b.key))
         });
-        all
+        all.into_iter().cloned().collect()
     }
 
     /// Live cells of one experiment, in the same shard-count-independent
     /// order as [`ShardedStore::cells`].
     pub fn cells_for(&self, exp: &str) -> Vec<Cell> {
-        self.cells().into_iter().filter(|c| c.exp == exp).collect()
+        self.with_cells_for(exp, |cells| cells.iter().map(|&c| c.clone()).collect())
     }
 
-    /// `(experiment, live-cell count)` pairs, sorted by name.
+    /// Call `f` with one experiment's live cells, borrowed under every
+    /// shard lock and ordered by `(domain, index, key)`. Each shard's
+    /// index hands over only that experiment's cells, already sorted, so
+    /// the cost is the experiment's size, not the store's.
+    pub(crate) fn with_cells_for<R>(&self, exp: &str, f: impl FnOnce(&[&Cell]) -> R) -> R {
+        let guards = self.lock_all();
+        let mut cells: Vec<&Cell> = guards.iter().flat_map(|s| s.cells_for(exp)).collect();
+        cells.sort_by(|a, b| (&a.domain, a.index, &a.key).cmp(&(&b.domain, b.index, &b.key)));
+        f(&cells)
+    }
+
+    /// Every shard, locked in shard order. Every other path holds at most
+    /// one shard lock at a time, so taking them in order cannot deadlock.
+    fn lock_all(&self) -> Vec<MutexGuard<'_, Store>> {
+        self.shards
+            .iter()
+            .map(|s| s.lock().expect("shard poisoned"))
+            .collect()
+    }
+
+    /// `(experiment, live-cell count)` pairs, sorted by name: a merge of
+    /// each shard's per-experiment counts.
     pub fn experiments(&self) -> Vec<(String, usize)> {
-        let mut counts: std::collections::HashMap<String, usize> = std::collections::HashMap::new();
+        let mut counts: BTreeMap<String, usize> = BTreeMap::new();
         for s in &self.shards {
             for (name, n) in s.lock().expect("shard poisoned").experiments() {
                 *counts.entry(name).or_default() += n;
             }
         }
-        let mut out: Vec<(String, usize)> = counts.into_iter().collect();
-        out.sort();
-        out
+        counts.into_iter().collect()
     }
 
     /// Segment files across shards, `(name, bytes)`; names carry a

@@ -27,11 +27,14 @@
 //!   (`lab diff` uses the latter to report what would be invalidated).
 
 use crate::fingerprint::CodeFingerprint;
-use crate::jsonio::{escape, Cursor};
-use std::collections::HashMap;
+use crate::jsonio::{encode_rows_into, escape, escape_into, Cursor};
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::fmt::Write as _;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// On-disk format version; bump when record or manifest shapes change.
 pub const FORMAT: u32 = 1;
@@ -59,22 +62,44 @@ pub struct Cell {
 }
 
 impl Cell {
+    /// The record line (no trailing newline).
     pub(crate) fn encode(&self) -> String {
-        let mut line = format!(
-            "{{\"key\":\"{}\",\"exp\":\"{}\",\"domain\":\"{}\",\"index\":{},\"params\":\"{}\"",
-            escape(&self.key),
-            escape(&self.exp),
-            escape(&self.domain),
-            self.index,
-            escape(&self.params),
-        );
+        let mut line = String::with_capacity(self.encoded_len_hint());
+        line.push_str("{\"key\":\"");
+        escape_into(&mut line, &self.key);
+        line.push_str("\",\"exp\":\"");
+        escape_into(&mut line, &self.exp);
+        line.push_str("\",\"domain\":\"");
+        escape_into(&mut line, &self.domain);
+        let _ = write!(line, "\",\"index\":{},\"params\":\"", self.index);
+        escape_into(&mut line, &self.params);
+        line.push('"');
         if let Some(plan) = &self.plan {
-            line.push_str(&format!(",\"plan\":\"{}\"", escape(plan)));
+            line.push_str(",\"plan\":\"");
+            escape_into(&mut line, plan);
+            line.push('"');
         }
         line.push_str(",\"payload\":");
-        line.push_str(&crate::jsonio::encode_rows(&self.rows));
+        encode_rows_into(&mut line, &self.rows);
         line.push('}');
         line
+    }
+
+    /// Bytes of this cell's strings plus their quoting and field names:
+    /// the encoded size when nothing needs escaping, so a buffer sized by
+    /// it rarely grows.
+    pub(crate) fn encoded_len_hint(&self) -> usize {
+        let rows: usize = self
+            .rows
+            .iter()
+            .map(|r| 3 + r.iter().map(|c| c.len() + 3).sum::<usize>())
+            .sum();
+        96 + self.key.len()
+            + self.exp.len()
+            + self.domain.len()
+            + self.params.len()
+            + self.plan.as_ref().map_or(0, |p| p.len() + 10)
+            + rows
     }
 
     pub(crate) fn decode(line: &str) -> Result<Cell, String> {
@@ -149,12 +174,72 @@ pub struct GcReport {
     pub removed_archives: usize,
 }
 
+/// A live cell, ordered by its place in its experiment: `(domain, index,
+/// key)`. The key map and the per-experiment index share the one cell.
+#[derive(Debug)]
+struct Placed(Arc<Cell>);
+
+impl Placed {
+    fn place(&self) -> (&str, usize, &str) {
+        (&self.0.domain, self.0.index, &self.0.key)
+    }
+}
+
+impl PartialEq for Placed {
+    fn eq(&self, other: &Placed) -> bool {
+        self.place() == other.place()
+    }
+}
+
+impl Eq for Placed {}
+
+impl PartialOrd for Placed {
+    fn partial_cmp(&self, other: &Placed) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Placed {
+    fn cmp(&self, other: &Placed) -> Ordering {
+        self.place().cmp(&other.place())
+    }
+}
+
+/// The live cells of each experiment, ordered by `(exp, domain, index,
+/// key)`: the read views walk it instead of collecting and sorting the
+/// whole store, so one experiment's cells cost that experiment's size and
+/// the experiment list costs the number of experiments. An experiment
+/// with no live cell has no entry.
+type ExpIndex = BTreeMap<String, BTreeSet<Placed>>;
+
+fn index_cell(by_exp: &mut ExpIndex, cell: &Arc<Cell>) {
+    let placed = Placed(Arc::clone(cell));
+    match by_exp.get_mut(&cell.exp) {
+        Some(cells) => {
+            cells.insert(placed);
+        }
+        None => {
+            by_exp.insert(cell.exp.clone(), BTreeSet::from([placed]));
+        }
+    }
+}
+
+fn unindex_cell(by_exp: &mut ExpIndex, cell: &Arc<Cell>) {
+    if let Some(cells) = by_exp.get_mut(&cell.exp) {
+        cells.remove(&Placed(Arc::clone(cell)));
+        if cells.is_empty() {
+            by_exp.remove(&cell.exp);
+        }
+    }
+}
+
 /// The open store: an in-memory index over append-only JSONL segments.
 #[derive(Debug)]
 pub struct Store {
     dir: PathBuf,
     code: CodeFingerprint,
-    index: HashMap<String, Cell>,
+    index: HashMap<String, Arc<Cell>>,
+    by_exp: ExpIndex,
     stale_code: Option<String>,
     writer: Option<BufWriter<File>>,
     next_segment: u32,
@@ -265,16 +350,21 @@ impl Store {
                 }
                 match Cell::decode(line) {
                     Ok(cell) => {
-                        index.insert(cell.key.clone(), cell);
+                        index.insert(cell.key.clone(), Arc::new(cell));
                     }
                     Err(_) => torn += 1,
                 }
             }
         }
+        let mut by_exp = ExpIndex::new();
+        for cell in index.values() {
+            index_cell(&mut by_exp, cell);
+        }
         Ok(Store {
             dir: dir.to_path_buf(),
             code,
             index,
+            by_exp,
             stale_code,
             writer: None,
             next_segment: segments.last().map_or(0, |&m| m + 1),
@@ -317,11 +407,18 @@ impl Store {
 
     /// Look up a cell by content address.
     pub fn get(&self, key: &str) -> Option<&Cell> {
-        self.index.get(key)
+        self.index.get(key).map(Arc::as_ref)
     }
 
     /// Append a cell (journal + index). Duplicate keys overwrite.
     pub fn put(&mut self, cell: Cell) -> io::Result<()> {
+        let line = cell.encode();
+        self.put_encoded(cell, &line)
+    }
+
+    /// [`Store::put`] with the record line already encoded, so a caller
+    /// holding a lock around the store can encode before taking it.
+    pub(crate) fn put_encoded(&mut self, cell: Cell, line: &str) -> io::Result<()> {
         if self.writer.is_none() || self.segment_lines >= SEGMENT_ROTATE_LINES {
             let file = OpenOptions::new()
                 .create(true)
@@ -332,37 +429,42 @@ impl Store {
             self.segment_lines = 0;
         }
         let w = self.writer.as_mut().expect("writer just ensured");
-        writeln!(w, "{}", cell.encode())?;
+        w.write_all(line.as_bytes())?;
+        w.write_all(b"\n")?;
         w.flush()?;
         self.segment_lines += 1;
-        self.index.insert(cell.key.clone(), cell);
+        // Last writer wins: the superseded cell leaves the index, even
+        // when the new one takes the same place.
+        let cell = Arc::new(cell);
+        if let Some(old) = self.index.insert(cell.key.clone(), Arc::clone(&cell)) {
+            unindex_cell(&mut self.by_exp, &old);
+        }
+        index_cell(&mut self.by_exp, &cell);
         Ok(())
     }
 
-    /// All live cells, sorted by `(exp, domain, index)`.
+    /// All live cells, sorted by `(exp, domain, index, key)`.
     pub fn cells(&self) -> Vec<&Cell> {
-        let mut cells: Vec<&Cell> = self.index.values().collect();
-        cells.sort_by(|a, b| {
-            (&a.exp, &a.domain, a.index, &a.key).cmp(&(&b.exp, &b.domain, b.index, &b.key))
-        });
-        cells
+        self.by_exp
+            .values()
+            .flatten()
+            .map(|c| c.0.as_ref())
+            .collect()
     }
 
-    /// Live cells of one experiment, sorted by `(domain, index)`.
+    /// Live cells of one experiment, sorted by `(domain, index, key)`.
     pub fn cells_for(&self, exp: &str) -> Vec<&Cell> {
-        self.cells().into_iter().filter(|c| c.exp == exp).collect()
+        self.by_exp.get(exp).map_or_else(Vec::new, |cells| {
+            cells.iter().map(|c| c.0.as_ref()).collect()
+        })
     }
 
     /// `(experiment, live-cell count)` pairs, sorted by name.
     pub fn experiments(&self) -> Vec<(String, usize)> {
-        let mut counts: HashMap<&str, usize> = HashMap::new();
-        for c in self.index.values() {
-            *counts.entry(c.exp.as_str()).or_default() += 1;
-        }
-        let mut out: Vec<(String, usize)> =
-            counts.into_iter().map(|(k, v)| (k.to_string(), v)).collect();
-        out.sort();
-        out
+        self.by_exp
+            .iter()
+            .map(|(name, cells)| (name.clone(), cells.len()))
+            .collect()
     }
 
     /// Segment files currently on disk, `(name, bytes)`, in id order.
