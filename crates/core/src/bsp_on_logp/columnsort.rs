@@ -218,6 +218,7 @@ pub fn columnsort(
 mod tests {
     use super::*;
     use bvl_model::rngutil::SeedStream;
+    use bvl_model::Payload;
     use rand::Rng;
 
     fn params(p: usize) -> LogpParams {
@@ -232,8 +233,7 @@ mod tests {
                     .map(|i| Record {
                         dest: rng.gen_range(0..1000),
                         uid: (j * r + i) as u64,
-                        tag: 0,
-                        data: vec![],
+                        payload: Payload::tagged(0),
                     })
                     .collect()
             })
@@ -301,8 +301,7 @@ mod tests {
                         .map(|i| Record {
                             dest: f(j * r + i),
                             uid: (j * r + i) as u64,
-                            tag: 0,
-                            data: vec![],
+                            payload: Payload::tagged(0),
                         })
                         .collect()
                 })

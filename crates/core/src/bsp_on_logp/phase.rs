@@ -12,7 +12,7 @@
 use bvl_exec::RunOptions;
 use bvl_logp::{LogpConfig, LogpMachine, LogpParams, Op, Script};
 use bvl_model::decompose::koenig_color;
-use bvl_model::{Envelope, HRelation, ModelError, ProcId, Steps};
+use bvl_model::{Envelope, HRelation, ModelError, Steps};
 
 /// Run one phase: a scripted program per processor. Returns the phase
 /// makespan and, per processor, the envelopes it acquired (in order).
@@ -69,30 +69,33 @@ pub fn route_offline(
     let decomp = koenig_color(rel);
     debug_assert!(decomp.validate(rel).is_ok());
 
-    // Per processor: (round, dst, payload) send schedule and receive count.
-    let mut sends: Vec<Vec<(u64, ProcId, bvl_model::Payload)>> = vec![Vec::new(); params.p];
-    let mut recv_count = vec![0usize; params.p];
+    // Each round is a 1-relation and the rounds come in order, so every
+    // processor's sends arrive here already sorted by round: push them
+    // straight into its script. Aim the submission at round*G; the
+    // o-overhead prep starts at the wait target, so submissions land at
+    // round*G + o, uniformly shifted — spacing (and capacity) unaffected.
+    let in_deg = rel.in_degrees();
+    let out_deg = rel.out_degrees();
+    let mut ops: Vec<Vec<Op>> = (0..params.p)
+        .map(|i| Vec::with_capacity(2 * out_deg[i] + in_deg[i]))
+        .collect();
     for (round, idxs) in decomp.rounds().iter().enumerate() {
         for &i in idxs {
             let d = &rel.demands()[i];
-            sends[d.src.index()].push((round as u64, d.dst, d.payload.clone()));
-            recv_count[d.dst.index()] += 1;
+            let script = &mut ops[d.src.index()];
+            script.push(Op::WaitUntil(Steps(round as u64 * params.g)));
+            script.push(Op::Send {
+                dst: d.dst,
+                payload: d.payload.clone(),
+            });
         }
     }
-
-    let scripts: Vec<Script> = (0..params.p)
-        .map(|i| {
-            let mut ops = Vec::new();
-            sends[i].sort_by_key(|&(round, dst, _)| (round, dst.0));
-            for (round, dst, payload) in sends[i].drain(..) {
-                // Aim the submission at round*G; the o-overhead prep starts
-                // at the wait target, so submissions land at round*G + o,
-                // uniformly shifted — spacing (and capacity) unaffected.
-                ops.push(Op::WaitUntil(Steps(round * params.g)));
-                ops.push(Op::Send { dst, payload });
-            }
-            ops.extend(std::iter::repeat_n(Op::Recv, recv_count[i]));
-            Script::new(ops)
+    let scripts: Vec<Script> = ops
+        .into_iter()
+        .zip(in_deg)
+        .map(|(mut script, recvs)| {
+            script.extend(std::iter::repeat_n(Op::Recv, recvs));
+            Script::new(script)
         })
         .collect();
 
@@ -128,7 +131,7 @@ mod tests {
     use super::*;
     use bvl_exec::RunOptions;
     use bvl_model::rngutil::SeedStream;
-    use bvl_model::Payload;
+    use bvl_model::{Payload, ProcId};
 
     fn params(p: usize, l: u64, o: u64, g: u64) -> LogpParams {
         LogpParams::new(p, l, o, g).unwrap()

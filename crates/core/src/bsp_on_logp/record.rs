@@ -6,7 +6,7 @@
 //! `p`" exactly as Step 1 of the protocol prescribes, so they sort after
 //! every real message.
 
-use bvl_model::{Payload, Word};
+use bvl_model::{Payload, Word, INLINE_WORDS};
 
 /// A message record in transit through the protocol.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -16,11 +16,13 @@ pub struct Record {
     /// Globally unique id (ties the record back to its demand; also breaks
     /// sort-key ties so records are totally ordered).
     pub uid: u64,
-    /// Original payload tag.
-    pub tag: u32,
-    /// Original payload words.
-    pub data: Vec<Word>,
+    /// The original message payload (inline for short bodies, so a record
+    /// moves through the sorting rounds without allocating).
+    pub payload: Payload,
 }
+
+/// Words of an encoded record ahead of the original body: dest, uid, tag.
+const HEADER_WORDS: usize = 3;
 
 impl Record {
     /// A dummy record (nominal destination `p`).
@@ -28,8 +30,7 @@ impl Record {
         Record {
             dest: p as u32,
             uid,
-            tag: 0,
-            data: Vec::new(),
+            payload: Payload::tagged(0),
         }
     }
 
@@ -44,14 +45,24 @@ impl Record {
     }
 
     /// Encode into a message payload (constant-size per the model: the
-    /// record rides in one message).
+    /// record rides in one message): `[dest, uid, tag, data..]` under
+    /// [`RECORD_TAG`]. Bodies of up to three words encode on the stack
+    /// into an inline payload.
     pub fn to_payload(&self) -> Payload {
-        let mut data = Vec::with_capacity(3 + self.data.len());
-        data.push(self.dest as Word);
-        data.push(self.uid as Word);
-        data.push(self.tag as Word);
-        data.extend_from_slice(&self.data);
-        Payload::from_vec(RECORD_TAG, data)
+        let data = self.payload.data();
+        let header = [self.dest as Word, self.uid as Word, self.payload.tag as Word];
+        let len = HEADER_WORDS + data.len();
+        if len <= INLINE_WORDS {
+            let mut words = [0 as Word; INLINE_WORDS];
+            words[..HEADER_WORDS].copy_from_slice(&header);
+            words[HEADER_WORDS..len].copy_from_slice(data);
+            Payload::words(RECORD_TAG, &words[..len])
+        } else {
+            let mut words = Vec::with_capacity(len);
+            words.extend_from_slice(&header);
+            words.extend_from_slice(data);
+            Payload::from_vec(RECORD_TAG, words)
+        }
     }
 
     /// Decode from a payload produced by [`Record::to_payload`].
@@ -61,14 +72,13 @@ impl Record {
         Record {
             dest: d[0] as u32,
             uid: d[1] as u64,
-            tag: d[2] as u32,
-            data: d[3..].to_vec(),
+            payload: Payload::words(d[2] as u32, &d[HEADER_WORDS..]),
         }
     }
 
     /// The original message payload this record carries.
     pub fn original_payload(&self) -> Payload {
-        Payload::words(self.tag, &self.data)
+        self.payload.clone()
     }
 }
 
@@ -93,16 +103,23 @@ mod tests {
 
     #[test]
     fn payload_roundtrip() {
-        let r = Record {
-            dest: 3,
-            uid: 42,
-            tag: 7,
-            data: vec![10, -20, 30],
-        };
-        let back = Record::from_payload(&r.to_payload());
-        assert_eq!(r, back);
-        assert_eq!(back.original_payload().tag, 7);
-        assert_eq!(back.original_payload().data(), &[10, -20, 30]);
+        for data in [&[][..], &[10, -20, 30], &[1, 2, 3, 4], &[5, 6, 7, 8, 9, 10, 11]] {
+            let r = Record {
+                dest: 3,
+                uid: 42,
+                payload: Payload::words(7, data),
+            };
+            let encoded = r.to_payload();
+            assert_eq!(encoded.tag, RECORD_TAG);
+            assert_eq!(&encoded.data()[..3], &[3, 42, 7]);
+            assert_eq!(&encoded.data()[3..], data);
+            assert_eq!(encoded.is_inline(), data.len() <= 3);
+            let back = Record::from_payload(&encoded);
+            assert_eq!(r, back);
+            assert_eq!(back.original_payload().tag, 7);
+            assert_eq!(back.original_payload().data(), data);
+            assert_eq!(back.payload.is_inline(), data.len() <= INLINE_WORDS);
+        }
     }
 
     #[test]
@@ -110,8 +127,7 @@ mod tests {
         let real = Record {
             dest: 7,
             uid: 999,
-            tag: 0,
-            data: vec![],
+            payload: Payload::tagged(0),
         };
         let dummy = Record::dummy(8, 0);
         assert!(real < dummy);
@@ -121,9 +137,12 @@ mod tests {
 
     #[test]
     fn ordering_by_dest_then_uid() {
-        let a = Record { dest: 1, uid: 5, tag: 0, data: vec![] };
-        let b = Record { dest: 1, uid: 6, tag: 0, data: vec![] };
-        let c = Record { dest: 2, uid: 0, tag: 0, data: vec![] };
+        let rec = |dest, uid| Record {
+            dest,
+            uid,
+            payload: Payload::tagged(0),
+        };
+        let (a, b, c) = (rec(1, 5), rec(1, 6), rec(2, 0));
         assert!(a < b && b < c);
     }
 }

@@ -199,7 +199,8 @@ fn sort_network(
             let decode = |msgs: &[bvl_model::Envelope]| -> Vec<Record> {
                 let mut v: Vec<Record> =
                     msgs.iter().map(|e| Record::from_payload(&e.payload)).collect();
-                v.sort();
+                // Keys are unique (uids are), so unstable is exact.
+                v.sort_unstable();
                 v
             };
             let old_hi = decode(&received[lo]);
@@ -289,8 +290,7 @@ pub fn route_deterministic(
         blocks[d.src.index()].push(Record {
             dest: d.dst.0,
             uid: uid as u64,
-            tag: d.payload.tag,
-            data: d.payload.data().to_vec(),
+            payload: d.payload.clone(),
         });
     }
     for block in &mut blocks {
@@ -391,8 +391,7 @@ pub fn route_deterministic(
         .map(|msgs| {
             msgs.into_iter()
                 .map(|mut e| {
-                    let rc = Record::from_payload(&e.payload);
-                    e.payload = rc.original_payload();
+                    e.payload = Record::from_payload(&e.payload).payload;
                     e
                 })
                 .collect()
@@ -426,22 +425,22 @@ pub fn route_deterministic(
 /// Delivery check ignoring the physical last-hop source (the protocol
 /// routes via sorted holders, so the envelope's `src` is the holder).
 fn verify_routing(rel: &HRelation, received: &[Vec<bvl_model::Envelope>]) -> Result<(), String> {
-    let mut got: Vec<(u32, u32, Vec<i64>)> = Vec::new();
+    let mut got: Vec<(u32, u32, &[i64])> = Vec::with_capacity(rel.len());
     for (dst, msgs) in received.iter().enumerate() {
         for e in msgs {
             if e.dst.index() != dst {
                 return Err(format!("message for {:?} acquired at P{dst}", e.dst));
             }
-            got.push((e.dst.0, e.payload.tag, e.payload.data().to_vec()));
+            got.push((e.dst.0, e.payload.tag, e.payload.data()));
         }
     }
-    got.sort();
-    let mut want: Vec<(u32, u32, Vec<i64>)> = rel
+    got.sort_unstable();
+    let mut want: Vec<(u32, u32, &[i64])> = rel
         .demands()
         .iter()
-        .map(|d| (d.dst.0, d.payload.tag, d.payload.data().to_vec()))
+        .map(|d| (d.dst.0, d.payload.tag, d.payload.data()))
         .collect();
-    want.sort();
+    want.sort_unstable();
     if got != want {
         return Err(format!(
             "routed multiset mismatch: {} delivered vs {} intended",
@@ -468,12 +467,12 @@ mod tests {
     #[test]
     fn seg_local_counts_runs() {
         let block = vec![
-            Record { dest: 1, uid: 0, tag: 0, data: vec![] },
-            Record { dest: 1, uid: 1, tag: 0, data: vec![] },
-            Record { dest: 2, uid: 2, tag: 0, data: vec![] },
-            Record { dest: 3, uid: 3, tag: 0, data: vec![] },
-            Record { dest: 3, uid: 4, tag: 0, data: vec![] },
-            Record { dest: 3, uid: 5, tag: 0, data: vec![] },
+            Record { dest: 1, uid: 0, payload: Payload::tagged(0) },
+            Record { dest: 1, uid: 1, payload: Payload::tagged(0) },
+            Record { dest: 2, uid: 2, payload: Payload::tagged(0) },
+            Record { dest: 3, uid: 3, payload: Payload::tagged(0) },
+            Record { dest: 3, uid: 4, payload: Payload::tagged(0) },
+            Record { dest: 3, uid: 5, payload: Payload::tagged(0) },
         ];
         let agg = seg_local(&block, 8);
         // pref = (1, 2), suf = (3, 3), best run = 3 (the run of dest 3).
@@ -494,7 +493,7 @@ mod tests {
             let records: Vec<Record> = dests
                 .iter()
                 .enumerate()
-                .map(|(i, &d)| Record { dest: d, uid: i as u64, tag: 0, data: vec![] })
+                .map(|(i, &d)| Record { dest: d, uid: i as u64, payload: Payload::tagged(0) })
                 .collect();
             // True answer.
             let mut counts = vec![0u64; p];

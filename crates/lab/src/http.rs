@@ -825,11 +825,20 @@ fn parse_head(buf: &[u8]) -> Result<Option<Head>, String> {
     }))
 }
 
+/// End of the head: just past the first blank line, whether it is written
+/// `\r\n\r\n` or (sloppy clients) `\n\n`. The earliest terminator wins,
+/// so a body's own blank line never frames the head.
 fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .map(|i| i + 4)
-        .or_else(|| buf.windows(2).position(|w| w == b"\n\n").map(|i| i + 2))
+    buf.iter().enumerate().find_map(|(i, &b)| {
+        if b != b'\n' {
+            return None;
+        }
+        match &buf[i + 1..] {
+            [b'\n', ..] => Some(i + 2),
+            [b'\r', b'\n', ..] if i > 0 && buf[i - 1] == b'\r' => Some(i + 3),
+            _ => None,
+        }
+    })
 }
 
 fn response_bytes(status: &str, body: &str, keep_alive: bool) -> Vec<u8> {
@@ -961,7 +970,7 @@ fn run_report_body(
 
 fn status_body(service: &Service) -> String {
     let store = &service.store;
-    let segments = store.segments().map(|s| s.len()).unwrap_or(0);
+    let segments = store.segment_count();
     let exps: Vec<String> = store
         .experiments()
         .into_iter()
@@ -1160,6 +1169,30 @@ mod tests {
         // A complete head with no request line is malformed, not pending.
         assert!(parse_head(b"\r\n\r\n").is_err());
         assert!(parse_head(b"GET /x HTTP/1.1\r\nContent-Length: zebra\r\n\r\n").is_err());
+    }
+
+    #[test]
+    fn head_ends_at_the_earliest_terminator() {
+        // A bare-LF head whose body holds a CRLF blank line: the head ends
+        // at the first blank line, not at the body's.
+        let body = b"{\"exp\":\"t\",\r\n\r\n\"smoke\":true}";
+        let mut req = format!(
+            "POST /run HTTP/1.1\nContent-Length: {}\nConnection: close\n\n",
+            body.len()
+        )
+        .into_bytes();
+        let head_len = req.len();
+        req.extend_from_slice(body);
+        let head = parse_head(&req).unwrap().unwrap();
+        assert_eq!(head.head_end, head_len);
+        assert_eq!(head.content_length, body.len());
+        assert!(!head.keep_alive);
+        assert_eq!(&req[head.head_end..], body);
+        // And the other way round: a CRLF head before a body with a bare
+        // blank line.
+        let req = b"POST /run HTTP/1.1\r\nContent-Length: 6\r\n\r\n{\n\n }";
+        let head = parse_head(req).unwrap().unwrap();
+        assert_eq!(&req[head.head_end..], b"{\n\n }");
     }
 
     #[test]

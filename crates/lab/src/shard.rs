@@ -367,6 +367,15 @@ impl ShardedStore {
         Ok(out)
     }
 
+    /// Segment files across shards, counted without listing directories
+    /// (the length [`ShardedStore::segments`] would return).
+    pub(crate) fn segment_count(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| s.lock().expect("shard poisoned").segment_count())
+            .sum()
+    }
+
     /// Compact every shard (each shard's own [`Store::gc`]), summing the
     /// per-shard reports.
     pub fn gc(&self) -> io::Result<GcReport> {

@@ -244,6 +244,9 @@ pub struct Store {
     writer: Option<BufWriter<File>>,
     next_segment: u32,
     segment_lines: usize,
+    /// Segment files on disk: counted at open, bumped on rotation, reset
+    /// by `gc`, so `/status` need not list the directory.
+    segment_count: usize,
     torn: usize,
 }
 
@@ -369,6 +372,7 @@ impl Store {
             writer: None,
             next_segment: segments.last().map_or(0, |&m| m + 1),
             segment_lines: 0,
+            segment_count: segments.len(),
             torn,
         })
     }
@@ -427,6 +431,7 @@ impl Store {
             self.writer = Some(BufWriter::new(file));
             self.next_segment += 1;
             self.segment_lines = 0;
+            self.segment_count += 1;
         }
         let w = self.writer.as_mut().expect("writer just ensured");
         w.write_all(line.as_bytes())?;
@@ -482,6 +487,14 @@ impl Store {
         Ok(segs.into_iter().map(|(_, n, b)| (n, b)).collect())
     }
 
+    /// Number of segment files, as [`Store::segments`] would list them,
+    /// without touching the directory. Replication writes segments
+    /// behind an open store's back; a store reopened after a sync counts
+    /// them again.
+    pub(crate) fn segment_count(&self) -> usize {
+        self.segment_count
+    }
+
     /// Compact: rewrite every live cell into one fresh segment, then drop
     /// the superseded segment files and any stale-generation archives.
     pub fn gc(&mut self) -> io::Result<GcReport> {
@@ -499,10 +512,12 @@ impl Store {
             w.get_ref().sync_all()?;
         }
         fs::rename(&tmp, &fresh)?;
+        self.segment_count = old.len() + 1;
         let mut removed = 0;
         for (name, _) in &old {
             fs::remove_file(self.dir.join(name))?;
             removed += 1;
+            self.segment_count -= 1;
         }
         let mut removed_archives = 0;
         for entry in fs::read_dir(&self.dir)?.filter_map(|e| e.ok()) {

@@ -301,3 +301,33 @@ fn run_then_query_round_trips_payloads() {
     server.stop();
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A bare-LF head followed by a body that contains a CRLF blank line is
+/// framed at the head's own blank line and answered at once, not left
+/// waiting for body bytes until the idle reaper closes the connection.
+#[test]
+fn bare_lf_head_with_crlf_in_the_body_is_answered() {
+    let dir = tmpdir("barelf");
+    let code = CodeFingerprint::from_parts("http-test-api", "0");
+    let store = ShardedStore::open(&dir, 1, code, OnStale::Error).unwrap();
+    let service = Arc::new(Service::new(store, Registry::disabled(), vec![Box::new(Square)]));
+    let server = serve("127.0.0.1:0", Arc::clone(&service), 2).unwrap();
+    let body = "{\"exp\":\"square\",\r\n\r\n\"smoke\":true}";
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(5)))
+        .unwrap();
+    let req = format!(
+        "POST /run HTTP/1.1\nContent-Length: {}\nConnection: close\n\n{body}",
+        body.len()
+    );
+    stream.write_all(req.as_bytes()).expect("send");
+    let mut response = String::new();
+    stream
+        .read_to_string(&mut response)
+        .expect("a response before the read timeout");
+    assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+    assert!(response.contains("\"cells\":4"), "{response}");
+    server.stop();
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -547,3 +547,64 @@ fn a_key_recorded_twice_is_listed_once_under_its_last_writer() {
     );
     fs::remove_dir_all(&dir).unwrap();
 }
+
+/// The `"segments"` field of a `GET /status` body.
+fn served_segments(addr: SocketAddr) -> usize {
+    let (status, body) = request(addr, "/status");
+    assert_eq!(status, "200", "{body}");
+    body.split("\"segments\":")
+        .nth(1)
+        .and_then(|r| r.split(|ch: char| !ch.is_ascii_digit()).next())
+        .and_then(|d| d.parse().ok())
+        .unwrap_or_else(|| panic!("no segments field: {body}"))
+}
+
+/// `/status` serves the store's kept segment count. It must equal what a
+/// directory listing finds after appends, rotation, `gc` and reopen.
+#[test]
+fn status_segments_track_appends_rotation_gc_and_reopen() {
+    for shards in [1usize, 2, 4] {
+        let dir = tmpdir(&format!("segments-{shards}"));
+        let mut next = 0u64;
+        let mut put_n = |store: &ShardedStore, n: u64| {
+            for _ in 0..n {
+                let k = key(next);
+                store
+                    .put(cell(&k, "alpha", "d", next as usize, "p", None, &[&["r"]]))
+                    .unwrap();
+                next += 1;
+            }
+        };
+        let check = |service: &Service, addr: SocketAddr, when: &str| -> usize {
+            let listed = service.store.segments().unwrap().len();
+            assert_eq!(served_segments(addr), listed, "{shards} shards, {when}");
+            listed
+        };
+        {
+            let store = ShardedStore::open(&dir, shards, code(), OnStale::Error).unwrap();
+            let service = Arc::new(Service::new(store, Registry::disabled(), Vec::new()));
+            let server = serve("127.0.0.1:0", Arc::clone(&service), 1).unwrap();
+            let addr = server.addr();
+            assert_eq!(check(&service, addr, "empty"), 0);
+            put_n(&service.store, 1);
+            assert_eq!(check(&service, addr, "first append"), 1);
+            // More than one segment's worth of lines per shard: rotation.
+            put_n(&service.store, 700 * shards as u64);
+            assert!(check(&service, addr, "rotated") > shards, "no rotation at {shards} shards");
+            service.store.gc().unwrap();
+            assert_eq!(check(&service, addr, "gc"), shards);
+            put_n(&service.store, 3 * shards as u64);
+            check(&service, addr, "append after gc");
+            server.stop();
+        }
+        let store = ShardedStore::open(&dir, shards, code(), OnStale::Error).unwrap();
+        let service = Arc::new(Service::new(store, Registry::disabled(), Vec::new()));
+        let server = serve("127.0.0.1:0", Arc::clone(&service), 1).unwrap();
+        let addr = server.addr();
+        let reopened = check(&service, addr, "reopened");
+        put_n(&service.store, 1);
+        assert_eq!(check(&service, addr, "append after reopen"), reopened + 1);
+        server.stop();
+        fs::remove_dir_all(&dir).unwrap();
+    }
+}

@@ -116,7 +116,9 @@ impl Topology for Array {
     }
 
     fn route(&self, src: usize, dst: usize) -> Vec<usize> {
-        let mut path = vec![src];
+        // One allocation: a greedy path never exceeds the diameter bound.
+        let mut path = Vec::with_capacity(self.diameter_bound() + 1);
+        path.push(src);
         let mut cur = self.coords(src);
         let target = self.coords(dst);
         for dim in 0..self.dims.len() {

@@ -80,7 +80,9 @@ impl Topology for Butterfly {
     fn route(&self, src: usize, dst: usize) -> Vec<usize> {
         let (mut l, mut r) = self.level_row(src);
         let (l2, r2) = self.level_row(dst);
-        let mut path = vec![src];
+        // One allocation: a greedy path never exceeds the diameter bound.
+        let mut path = Vec::with_capacity(self.diameter_bound() + 1);
+        path.push(src);
         while r != r2 {
             let b = (r ^ r2).trailing_zeros() as usize;
             if l <= b {

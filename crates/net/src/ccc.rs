@@ -73,7 +73,9 @@ impl Topology for Ccc {
     fn route(&self, src: usize, dst: usize) -> Vec<usize> {
         let (mut x, mut i) = self.corner_pos(src);
         let (x2, i2) = self.corner_pos(dst);
-        let mut path = vec![src];
+        // One allocation: a greedy path never exceeds the diameter bound.
+        let mut path = Vec::with_capacity(self.diameter_bound() + 1);
+        path.push(src);
         // Sweep: visit every cycle position once, fixing bits as passed.
         let mut remaining = x ^ x2;
         while remaining != 0 {

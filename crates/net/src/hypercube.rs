@@ -52,7 +52,9 @@ impl Topology for Hypercube {
     }
 
     fn route(&self, src: usize, dst: usize) -> Vec<usize> {
-        let mut path = vec![src];
+        // One allocation: a greedy path never exceeds the diameter bound.
+        let mut path = Vec::with_capacity(self.diameter_bound() + 1);
+        path.push(src);
         let mut cur = src;
         let mut diff = cur ^ dst;
         while diff != 0 {

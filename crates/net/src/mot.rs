@@ -154,7 +154,7 @@ impl Topology for MeshOfTrees {
         assert!(src < m * m && dst < m * m, "routes start/end at leaves");
         let (r1, c1) = (src / m, src % m);
         let (r2, c2) = (dst / m, dst % m);
-        let mut path = Vec::new();
+        let mut path = Vec::with_capacity(self.diameter_bound() + 1);
         // Row phase: (r1, c1) -> (r1, c2) through row r1's tree.
         if c1 != c2 {
             for heap in Self::heap_path(m + c1, m + c2) {

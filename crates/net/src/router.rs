@@ -17,7 +17,7 @@ use crate::valiant::valiant_path;
 use bvl_exec::{drive, Executor, RunOutcome};
 use bvl_model::rngutil::SeedStream;
 use bvl_model::{HRelation, ModelError, Steps};
-use std::collections::HashMap;
+use std::collections::VecDeque;
 
 /// Port discipline per step.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -111,16 +111,32 @@ impl Pkt {
 
 /// The stateful routing engine for one h-relation on one topology.
 ///
-/// All topology-dependent state (paths, adjacency, port maps) is captured
-/// at construction, so the router owns no borrow of the network. Drive it
-/// with [`Executor::step`] (one synchronous network step per call) or all
-/// the way with [`bvl_exec::drive`]; [`Router::route_outcome`] reads the
-/// classic [`RouteOutcome`] at any point.
+/// All topology-dependent state (paths, adjacency, port numbering) is
+/// captured at construction, so the router owns no borrow of the network.
+/// Drive it with [`Executor::step`] (one synchronous network step per call)
+/// or all the way with [`bvl_exec::drive`]; [`Router::route_outcome`] reads
+/// the classic [`RouteOutcome`] at any point.
+///
+/// Ports are numbered flat: node `v`'s port `q` (the link to its `q`-th
+/// neighbour) is `port_base[v] + q`. Each port owns a FIFO queue, a bitset
+/// marks the non-empty ones so a step visits only busy ports, and per-node
+/// occupancy counts replace a scan of every queue for `max_queue`.
 pub struct Router {
     config: RouterConfig,
     packets: Vec<Pkt>,
-    port_of: HashMap<(usize, usize), usize>,
-    queues: Vec<Vec<Vec<usize>>>,
+    /// Neighbour lists, concatenated in node order: the port order.
+    neighbors: Vec<usize>,
+    /// `port_base[v]..port_base[v + 1]` are node `v`'s ports.
+    port_base: Vec<usize>,
+    queues: Vec<VecDeque<usize>>,
+    /// Bit `k` set ⇔ port `k`'s queue is non-empty.
+    busy: Vec<u64>,
+    /// Packets queued at each node, across its ports.
+    occupancy: Vec<usize>,
+    /// Largest node occupancy any enqueue has produced. Between steps
+    /// queues only grow, so folding this in at the start of a step equals
+    /// the largest occupancy at that instant (see [`Executor::step`]).
+    peak: usize,
     rr: Vec<usize>, // single-port round-robin pointers
     total: usize,
     delivered: usize,
@@ -163,27 +179,27 @@ impl Router {
             }
         }
 
-        // Adjacency and per-port queues.
+        // Flat port numbering and per-port queues.
         let n = topo.nodes();
-        let adj: Vec<Vec<usize>> = (0..n).map(|v| topo.neighbors(v)).collect();
-        let mut port_of: HashMap<(usize, usize), usize> = HashMap::new();
-        for (v, ns) in adj.iter().enumerate() {
-            for (q, &w) in ns.iter().enumerate() {
-                port_of.insert((v, w), q);
-            }
+        let mut neighbors = Vec::new();
+        let mut port_base = Vec::with_capacity(n + 1);
+        for v in 0..n {
+            port_base.push(neighbors.len());
+            neighbors.extend(topo.neighbors(v));
         }
-        let mut queues: Vec<Vec<Vec<usize>>> =
-            (0..n).map(|v| vec![Vec::new(); adj[v].len()]).collect();
-        for (id, p) in packets.iter().enumerate() {
-            enqueue(&mut queues, &port_of, p, id);
-        }
+        port_base.push(neighbors.len());
+        let ports = neighbors.len();
 
         let total = packets.len() + delivered;
-        Router {
+        let mut router = Router {
             config,
             packets,
-            port_of,
-            queues,
+            neighbors,
+            port_base,
+            queues: vec![VecDeque::new(); ports],
+            busy: vec![0; ports.div_ceil(64)],
+            occupancy: vec![0; n],
+            peak: 0,
             rr: vec![0; n],
             total,
             delivered,
@@ -192,7 +208,11 @@ impl Router {
             total_hops: 0,
             delivered_pairs,
             last_moves: Vec::new(),
+        };
+        for id in 0..router.packets.len() {
+            router.enqueue(id);
         }
+        router
     }
 
     /// The `(src, dst)` processor pairs delivered so far, in delivery order.
@@ -216,7 +236,7 @@ impl Router {
         }
     }
 
-    fn pick(&self, queue: &[usize]) -> usize {
+    fn pick(&self, queue: &VecDeque<usize>) -> usize {
         match self.config.discipline {
             QueueDiscipline::Fifo => 0,
             QueueDiscipline::FarthestFirst => queue
@@ -227,77 +247,98 @@ impl Router {
                 .expect("non-empty queue"),
         }
     }
-}
 
-fn enqueue(
-    queues: &mut [Vec<Vec<usize>>],
-    port_of: &HashMap<(usize, usize), usize>,
-    p: &Pkt,
-    id: usize,
-) {
-    let q = *port_of
-        .get(&(p.cur(), p.next()))
-        .unwrap_or_else(|| panic!("route hop {} -> {} is not an edge", p.cur(), p.next()));
-    queues[p.cur()][q].push(id);
+    /// Queue packet `id` on the port towards its next hop. The port is the
+    /// hop's position in the node's neighbour list (the last one, should a
+    /// neighbour repeat).
+    fn enqueue(&mut self, id: usize) {
+        let p = &self.packets[id];
+        let (cur, next) = (p.cur(), p.next());
+        let base = self.port_base[cur];
+        let q = self.neighbors[base..self.port_base[cur + 1]]
+            .iter()
+            .rposition(|&w| w == next)
+            .unwrap_or_else(|| panic!("route hop {cur} -> {next} is not an edge"));
+        let port = base + q;
+        self.queues[port].push_back(id);
+        self.busy[port / 64] |= 1 << (port % 64);
+        self.occupancy[cur] += 1;
+        self.peak = self.peak.max(self.occupancy[cur]);
+    }
+
+    /// Take the packet at position `i` of `port`'s queue.
+    fn dequeue(&mut self, port: usize, i: usize) -> usize {
+        let queue = &mut self.queues[port];
+        let id = queue.remove(i).expect("queued");
+        if queue.is_empty() {
+            self.busy[port / 64] &= !(1 << (port % 64));
+        }
+        self.occupancy[self.packets[id].cur()] -= 1;
+        id
+    }
 }
 
 impl Executor for Router {
     /// Advance the network one synchronous step: select at most one packet
     /// per output port (multi-port) or per node (single-port) from the
     /// state at the start of the step, then apply all moves simultaneously.
+    ///
+    /// `max_queue` takes the largest node occupancy at the start of each
+    /// step. Queues only grow between one step's selection and the next
+    /// step's start, so every occupancy an enqueue produced is at most the
+    /// occupancy of that node at the next start; folding in `peak` reads
+    /// the same maximum without visiting every node.
     fn step(&mut self) -> Result<bool, ModelError> {
         if self.delivered >= self.total {
             return Ok(false);
         }
-        for node in &self.queues {
-            let occupancy: usize = node.iter().map(|q| q.len()).sum();
-            self.max_queue = self.max_queue.max(occupancy);
-        }
+        self.max_queue = self.max_queue.max(self.peak);
 
         // Select moves based on the state at the start of the step.
         let mut moves: Vec<usize> = Vec::new();
         match self.config.mode {
             PortMode::Multi => {
-                for v in 0..self.queues.len() {
-                    for q in 0..self.queues[v].len() {
-                        if !self.queues[v][q].is_empty() {
-                            let i = self.pick(&self.queues[v][q]);
-                            moves.push(self.queues[v][q].remove(i));
-                        }
+                // Busy ports in port order, i.e. by node, then port.
+                for w in 0..self.busy.len() {
+                    let mut bits = self.busy[w];
+                    while bits != 0 {
+                        let port = w * 64 + bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        let i = self.pick(&self.queues[port]);
+                        moves.push(self.dequeue(port, i));
                     }
                 }
             }
             PortMode::Single => {
                 // Each node proposes one send (round-robin over busy ports);
                 // each node accepts one receive (lowest sender id wins).
-                let n = self.queues.len();
-                let mut proposals: Vec<(usize, usize, usize)> = Vec::new(); // (v, q, pkt)
+                let n = self.occupancy.len();
+                let mut proposals: Vec<(usize, usize, usize)> = Vec::new(); // (port, position, pkt)
                 for v in 0..n {
-                    let nports = self.queues[v].len();
-                    if nports == 0 {
+                    if self.occupancy[v] == 0 {
                         continue;
                     }
+                    let base = self.port_base[v];
+                    let nports = self.port_base[v + 1] - base;
                     for off in 0..nports {
                         let q = (self.rr[v] + off) % nports;
-                        if !self.queues[v][q].is_empty() {
-                            let i = self.pick(&self.queues[v][q]);
-                            proposals.push((v, q, self.queues[v][q][i]));
+                        let queue = &self.queues[base + q];
+                        if !queue.is_empty() {
+                            let i = self.pick(queue);
+                            proposals.push((base + q, i, queue[i]));
                             self.rr[v] = (q + 1) % nports;
                             break;
                         }
                     }
                 }
+                // A node proposes once, so its queue is unchanged between
+                // its proposal and the removal below.
                 let mut recv_taken = vec![false; n];
-                for (v, q, pkt) in proposals {
+                for (port, i, pkt) in proposals {
                     let dst = self.packets[pkt].next();
                     if !recv_taken[dst] {
                         recv_taken[dst] = true;
-                        let pos = self.queues[v][q]
-                            .iter()
-                            .position(|&x| x == pkt)
-                            .expect("queued");
-                        self.queues[v][q].remove(pos);
-                        moves.push(pkt);
+                        moves.push(self.dequeue(port, i));
                     }
                 }
             }
@@ -307,16 +348,15 @@ impl Executor for Router {
         self.time += 1;
         self.last_moves.clear();
         for id in moves {
-            self.last_moves
-                .push((self.packets[id].cur(), self.packets[id].next()));
-            self.packets[id].hop += 1;
+            let p = &mut self.packets[id];
+            self.last_moves.push((p.cur(), p.next()));
+            p.hop += 1;
             self.total_hops += 1;
-            if self.packets[id].remaining() == 0 {
+            if p.remaining() == 0 {
                 self.delivered += 1;
-                self.delivered_pairs.push(self.packets[id].endpoints());
+                self.delivered_pairs.push(p.endpoints());
             } else {
-                let p = &self.packets[id];
-                enqueue(&mut self.queues, &self.port_of, p, id);
+                self.enqueue(id);
             }
         }
         Ok(true)
@@ -522,5 +562,58 @@ mod tests {
         let mut got: Vec<_> = r.delivered_pairs().to_vec();
         got.sort_unstable();
         assert_eq!(got, vec![(0, 5), (3, 3), (4, 1)]);
+    }
+
+    /// A star whose centre lists leaf 1 twice (`[1, 2, 1]`): a hop to a
+    /// repeated neighbour queues on its last port.
+    struct DoubledStar;
+
+    impl Topology for DoubledStar {
+        fn name(&self) -> String {
+            "doubled-star".into()
+        }
+        fn nodes(&self) -> usize {
+            3
+        }
+        fn num_processors(&self) -> usize {
+            3
+        }
+        fn neighbors(&self, v: usize) -> Vec<usize> {
+            if v == 0 {
+                vec![1, 2, 1]
+            } else {
+                vec![0]
+            }
+        }
+        fn diameter_bound(&self) -> usize {
+            2
+        }
+        fn route(&self, src: usize, dst: usize) -> Vec<usize> {
+            match (src, dst) {
+                _ if src == dst => vec![src],
+                (0, _) | (_, 0) => vec![src, dst],
+                _ => vec![src, 0, dst],
+            }
+        }
+    }
+
+    #[test]
+    fn repeated_neighbour_uses_its_last_port() {
+        let mut rel = HRelation::new(3);
+        rel.push(ProcId(0), ProcId(1), Payload::tagged(0));
+        rel.push(ProcId(0), ProcId(2), Payload::tagged(0));
+        // Multi-port serves ports in order: port 1 (to 2), then port 2
+        // (to 1, the last of its two ports).
+        let mut r = Router::new(&DoubledStar, &rel, RouterConfig::default());
+        r.step().unwrap();
+        assert_eq!(r.last_moves(), &[(0, 2), (0, 1)]);
+        // Single-port round-robin from port 0 finds port 1 (to 2) first.
+        let single = RouterConfig {
+            mode: PortMode::Single,
+            ..RouterConfig::default()
+        };
+        let mut r = Router::new(&DoubledStar, &rel, single);
+        r.step().unwrap();
+        assert_eq!(r.last_moves(), &[(0, 2)]);
     }
 }

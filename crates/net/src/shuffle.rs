@@ -61,7 +61,9 @@ impl Topology for ShuffleExchange {
     }
 
     fn route(&self, src: usize, dst: usize) -> Vec<usize> {
-        let mut path = vec![src];
+        // One allocation: a greedy path never exceeds the diameter bound.
+        let mut path = Vec::with_capacity(self.diameter_bound() + 1);
+        path.push(src);
         if src == dst {
             return path;
         }
