@@ -725,15 +725,17 @@ impl ScenarioRunner for Runner {
         tier: Option<Tier>,
     ) -> Result<(String, GridReport), ScenarioError> {
         let doc = parse(text).map_err(|e| ScenarioError::Invalid(e.to_string()))?;
-        let compiled = compile(&doc, smoke).map_err(|e| ScenarioError::Invalid(e.to_string()))?;
+        let mut compiled =
+            compile(&doc, smoke).map_err(|e| ScenarioError::Invalid(e.to_string()))?;
+        if let Some(t) = tier {
+            // Observability-only: the tier never moves cache keys.
+            for grid in &mut compiled.grids {
+                grid.spec.opts.obs_tier = t;
+            }
+        }
         let mut merged = GridReport::empty();
         for grid in &compiled.grids {
-            let mut spec = grid.spec.clone();
-            if let Some(t) = tier {
-                // Observability-only: the tier never moves cache keys.
-                spec.opts = spec.opts.clone().obs(t);
-            }
-            let rep = run_grid(&spec, Some(store), registry, |cell, job| {
+            let rep = run_grid(&grid.spec, Some(store), registry, |cell, job| {
                 run_work(work_for(grid, cell), cell, job, None).0
             })
             .map_err(|e| {

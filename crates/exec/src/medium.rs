@@ -39,17 +39,18 @@ pub trait Medium {
     /// machine (events scheduled in the engine's past are either lost or
     /// panic the timeline, depending on the implementation — neither is
     /// recoverable). Engines call this through
-    /// [`Medium::delivery_time_checked`], which `debug_assert`s the
-    /// contract so a misbehaving medium fails loudly in test builds
-    /// instead of silently corrupting the clock.
+    /// [`Medium::delivery_time_checked`], which asserts the contract in
+    /// every build, so a misbehaving medium fails loudly instead of
+    /// silently corrupting the clock and the model costs read from it.
     ///
     /// The `rng` is the machine's policy stream — draw from it only as the
     /// medium's policy requires, since every draw advances the stream.
     fn delivery_time(&mut self, env: &Envelope, now: Steps, rng: &mut dyn RngCore) -> Steps;
 
     /// [`Medium::delivery_time`] with the time-travel contract enforced
-    /// (`delivered > now`) in debug builds. Engines must schedule through
-    /// this entry point; implementors override `delivery_time` only.
+    /// (`delivered > now`) in every build: one compare per accepted
+    /// message. Engines must schedule through this entry point;
+    /// implementors override `delivery_time` only.
     fn delivery_time_checked(
         &mut self,
         env: &Envelope,
@@ -57,7 +58,7 @@ pub trait Medium {
         rng: &mut dyn RngCore,
     ) -> Steps {
         let at = self.delivery_time(env, now, rng);
-        debug_assert!(
+        assert!(
             at > now,
             "medium '{}' time-travelled: delivery at {at:?} for a message accepted at {now:?}",
             self.name()
@@ -265,7 +266,7 @@ mod tests {
     }
 
     /// The satellite contract: a medium returning `delivered ≤ now` is a
-    /// time machine and must fail loudly (debug builds).
+    /// time machine and must fail loudly, in release builds too.
     #[test]
     #[should_panic(expected = "time-travelled")]
     fn checked_delivery_rejects_time_travel() {

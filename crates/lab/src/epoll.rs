@@ -86,6 +86,8 @@ pub struct Epoll {
 impl Epoll {
     /// Create a close-on-exec epoll instance.
     pub fn new() -> io::Result<Epoll> {
+        // SAFETY: epoll_create1 takes no pointers; a failure is a -1 that
+        // `cvt` turns into an error.
         let fd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
         // SAFETY: epoll_create1 returned a fresh fd we now uniquely own.
         Ok(Epoll { fd: unsafe { OwnedFd::from_raw_fd(fd) } })
@@ -154,6 +156,8 @@ pub struct EventFd {
 impl EventFd {
     /// Create a nonblocking, close-on-exec eventfd with counter 0.
     pub fn new() -> io::Result<EventFd> {
+        // SAFETY: eventfd takes no pointers; a failure is a -1 that `cvt`
+        // turns into an error.
         let fd = cvt(unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) })?;
         // SAFETY: eventfd returned a fresh fd we now uniquely own; File
         // gives us read/write/close without further unsafe.

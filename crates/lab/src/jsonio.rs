@@ -121,19 +121,28 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    /// Parse a quoted, escaped JSON string.
+    /// Parse a quoted, escaped JSON string. The scan stops only at `"` and
+    /// `\`, both ASCII, so it copies each run of bytes between escapes with
+    /// one `push_str` and multi-byte characters stay whole.
     pub fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
         let bytes = self.text.as_bytes();
         let mut out = String::new();
         loop {
+            let run = bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(bytes.len() - self.pos);
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             match bytes.get(self.pos) {
                 None => return Err("unterminated string".into()),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some(_) => {
+                    // The run stopped at a backslash: decode its escape.
                     self.pos += 1;
                     match bytes.get(self.pos) {
                         Some(b'"') => out.push('"'),
@@ -157,13 +166,6 @@ impl<'a> Cursor<'a> {
                         other => return Err(format!("bad escape: {other:?}")),
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Advance one UTF-8 scalar (multi-byte safe).
-                    let rest = &self.text[self.pos..];
-                    let c = rest.chars().next().expect("non-empty rest");
-                    out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -270,6 +272,53 @@ mod tests {
         out
     }
 
+    /// The char-wise `Cursor::string` the run-copying decode replaced,
+    /// kept as its oracle.
+    fn string_charwise(cur: &mut Cursor<'_>) -> Result<String, String> {
+        cur.expect(b'"')?;
+        let bytes = cur.text.as_bytes();
+        let mut out = String::new();
+        loop {
+            match bytes.get(cur.pos) {
+                None => return Err("unterminated string".into()),
+                Some(b'"') => {
+                    cur.pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    cur.pos += 1;
+                    match bytes.get(cur.pos) {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'u') => {
+                            let hex = cur
+                                .text
+                                .get(cur.pos + 1..cur.pos + 5)
+                                .ok_or("truncated \\u escape")?;
+                            let code = u32::from_str_radix(hex, 16)
+                                .map_err(|e| format!("bad \\u escape: {e}"))?;
+                            out.push(
+                                char::from_u32(code).ok_or("\\u escape is not a scalar value")?,
+                            );
+                            cur.pos += 4;
+                        }
+                        other => return Err(format!("bad escape: {other:?}")),
+                    }
+                    cur.pos += 1;
+                }
+                Some(_) => {
+                    let c = cur.text[cur.pos..].chars().next().expect("non-empty rest");
+                    out.push(c);
+                    cur.pos += c.len_utf8();
+                }
+            }
+        }
+    }
+
     /// Characters weighted toward the ones that need escaping: every
     /// control byte, the quote and the backslash, then printable ASCII and
     /// any other scalar value (surrogate draws fall back to U+FFFD).
@@ -287,6 +336,59 @@ mod tests {
         proptest::collection::vec(hostile_char(), 0..max).prop_map(String::from_iter)
     }
 
+    /// One piece of well-formed string text: an escaped character, a raw
+    /// character that needs no escape, a short escape or a `\\u` escape of
+    /// a scalar value.
+    fn valid_piece() -> impl Strategy<Value = String> {
+        prop_oneof![
+            hostile_char().prop_map(|c| escape(&String::from(c))),
+            hostile_char().prop_map(|c| match c {
+                '"' | '\\' => String::from("é"),
+                c => String::from(c),
+            }),
+            (0usize..6).prop_map(|i| ["\\\"", "\\\\", "\\/", "\\n", "\\r", "\\t"][i].to_string()),
+            (0u32..0xd800).prop_map(|u| format!("\\u{u:04x}")),
+            (0xe000u32..0x1_0000).prop_map(|u| format!("\\u{u:04X}")),
+        ]
+    }
+
+    /// One piece of hostile string text: a raw quote or backslash, an
+    /// unknown escape, a surrogate `\\u`, a truncated or non-hex `\\u`, or
+    /// a backslash before a multi-byte character.
+    fn hostile_piece() -> impl Strategy<Value = String> {
+        prop_oneof![
+            (0usize..2).prop_map(|i| ["\"", "\\"][i].to_string()),
+            (0usize..3).prop_map(|i| ["\\b", "\\f", "\\x"][i].to_string()),
+            (0xd800u32..0xe000).prop_map(|u| format!("\\u{u:04x}")),
+            (0usize..4).prop_map(|n| format!("\\u{}", &"00e9"[..n])),
+            (0usize..4).prop_map(|i| ["\\uZZZZ", "\\u+0e9", "\\u-0e9", "\\u 0e9"][i].to_string()),
+            (0x80u32..0x11_0000)
+                .prop_map(|u| format!("\\{}", char::from_u32(u).unwrap_or('\u{fffd}'))),
+        ]
+    }
+
+    /// One piece in six is hostile.
+    fn raw_piece() -> impl Strategy<Value = String> {
+        (0u8..6, valid_piece(), hostile_piece()).prop_map(|(k, v, h)| if k == 0 { h } else { v })
+    }
+
+    /// A raw string literal: optional leading whitespace, the opening
+    /// quote, raw pieces, then maybe a closing quote and more text.
+    fn raw_literal() -> impl Strategy<Value = String> {
+        (
+            0usize..3,
+            proptest::collection::vec(raw_piece(), 0..24),
+            0usize..3,
+        )
+            .prop_map(|(ws, pieces, tail)| {
+                let mut text = " ".repeat(ws);
+                text.push('"');
+                text.extend(pieces);
+                text.push_str(["", "\"", "\",\"é\"]"][tail]);
+                text
+            })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
         #[test]
@@ -299,6 +401,25 @@ mod tests {
             prop_assert_eq!(&out[..prefix.len()], prefix.as_str());
             prop_assert_eq!(&out[prefix.len()..], escape_charwise(&s));
             prop_assert_eq!(escape(&s), escape_charwise(&s));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn string_decodes_every_escaped_string(s in hostile_string(48)) {
+            let text = format!("\"{}\"", escape(&s));
+            let mut cur = Cursor::new(&text);
+            prop_assert_eq!(cur.string(), Ok(s));
+            prop_assert!(cur.at_end());
+        }
+
+        #[test]
+        fn string_matches_the_charwise_decode_on_raw_text(text in raw_literal()) {
+            let mut runs = Cursor::new(&text);
+            let mut chars = Cursor::new(&text);
+            prop_assert_eq!(runs.string(), string_charwise(&mut chars));
+            prop_assert_eq!(runs.pos, chars.pos);
         }
     }
 

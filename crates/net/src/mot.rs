@@ -78,25 +78,15 @@ impl MeshOfTrees {
         }
     }
 
-    /// Heap path between two heap indices of one complete binary tree,
-    /// inclusive of both endpoints.
-    fn heap_path(a: usize, b: usize) -> Vec<usize> {
-        let mut up_a = vec![a];
-        let mut up_b = vec![b];
-        let (mut x, mut y) = (a, b);
-        while x != y {
-            if x > y {
-                x /= 2;
-                up_a.push(x);
-            } else {
-                y /= 2;
-                up_b.push(y);
-            }
-        }
-        up_a.pop(); // drop the LCA duplicate
-        up_b.reverse();
-        up_a.extend(up_b);
-        up_a
+    /// Heap path between two leaves `a` and `b` of one complete binary
+    /// tree, inclusive of both: up from `a` to the lowest common ancestor,
+    /// then down to `b`. Leaves share a depth, so the ancestor is `d`
+    /// levels up, where `d` is the bit length of `a ^ b`.
+    fn heap_path(a: usize, b: usize) -> impl Iterator<Item = usize> {
+        let d = (usize::BITS - (a ^ b).leading_zeros()) as usize;
+        (0..=d)
+            .map(move |k| a >> k)
+            .chain((0..d).rev().map(move |k| b >> k))
     }
 }
 
@@ -156,21 +146,14 @@ impl Topology for MeshOfTrees {
         let (r2, c2) = (dst / m, dst % m);
         let mut path = Vec::with_capacity(self.diameter_bound() + 1);
         // Row phase: (r1, c1) -> (r1, c2) through row r1's tree.
-        if c1 != c2 {
-            for heap in Self::heap_path(m + c1, m + c2) {
-                path.push(self.row_heap(r1, heap));
-            }
-        } else {
-            path.push(src);
-        }
-        // Column phase: (r1, c2) -> (r2, c2) through column c2's tree.
-        if r1 != r2 {
-            let col_part: Vec<usize> = Self::heap_path(m + r1, m + r2)
-                .into_iter()
-                .map(|heap| self.col_heap(c2, heap))
-                .collect();
-            path.extend(col_part.into_iter().skip(1));
-        }
+        path.extend(Self::heap_path(m + c1, m + c2).map(|heap| self.row_heap(r1, heap)));
+        // Column phase: (r1, c2) -> (r2, c2) through column c2's tree; its
+        // first node is the row phase's last.
+        path.extend(
+            Self::heap_path(m + r1, m + r2)
+                .skip(1)
+                .map(|heap| self.col_heap(c2, heap)),
+        );
         path
     }
 }
@@ -203,9 +186,10 @@ mod tests {
     #[test]
     fn heap_path_through_lca() {
         // Tree over 4 leaves: heap 4..8; path 4 -> 7 goes 4,2,1,3,7.
-        assert_eq!(MeshOfTrees::heap_path(4, 7), vec![4, 2, 1, 3, 7]);
-        assert_eq!(MeshOfTrees::heap_path(4, 5), vec![4, 2, 5]);
-        assert_eq!(MeshOfTrees::heap_path(6, 6), vec![6]);
+        let path = |a, b| MeshOfTrees::heap_path(a, b).collect::<Vec<_>>();
+        assert_eq!(path(4, 7), vec![4, 2, 1, 3, 7]);
+        assert_eq!(path(4, 5), vec![4, 2, 5]);
+        assert_eq!(path(6, 6), vec![6]);
     }
 
     #[test]

@@ -16,7 +16,12 @@
 //!
 //! Every error carries the byte offset (and derived line number) of the
 //! offending token, in the same spirit as `bvl_obs::jsonio`.
+//!
+//! Tokens borrow the source; only the strings the document keeps are
+//! allocated. The whole text is tokenized before any statement is parsed,
+//! so a lexical error anywhere is reported ahead of a semantic one.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::str::FromStr;
 
@@ -65,23 +70,25 @@ fn err(src: &str, offset: usize, msg: impl Into<String>) -> ParseError {
     }
 }
 
-/// One `key[=value]` attribute with its source offset.
-#[derive(Clone, Debug)]
-struct Token {
+/// One `key[=value]` attribute with its source offset. The key and a bare
+/// value borrow the source, and so does a quoted value with no escape in it.
+#[derive(Debug)]
+struct Token<'s> {
     offset: usize,
-    key: String,
-    value: Option<String>,
+    key: &'s str,
+    value: Option<Cow<'s, str>>,
 }
 
-/// One statement: its leading offset and its tokens.
-#[derive(Clone, Debug)]
-struct Statement {
-    offset: usize,
-    tokens: Vec<Token>,
+/// One statement: its leading word (`scenario`, `grid` or `cell`) and the
+/// tokens after it, which [`Attrs`] takes out in place.
+#[derive(Debug)]
+struct Statement<'s> {
+    head: Token<'s>,
+    tokens: Vec<Option<Token<'s>>>,
 }
 
 /// Split the source into statements of tokens.
-fn tokenize(src: &str) -> Result<Vec<Statement>, ParseError> {
+fn tokenize(src: &str) -> Result<Vec<Statement<'_>>, ParseError> {
     let bytes = src.as_bytes();
     let mut statements = Vec::new();
     let mut current: Option<Statement> = None;
@@ -112,53 +119,13 @@ fn tokenize(src: &str) -> Result<Vec<Statement>, ParseError> {
                 {
                     i += 1;
                 }
-                let key = src[start..i].to_string();
+                let key = &src[start..i];
                 let value = if i < bytes.len() && bytes[i] == b'=' {
                     i += 1;
                     if i < bytes.len() && bytes[i] == b'"' {
-                        // Quoted value.
-                        i += 1;
-                        let mut out = String::new();
-                        loop {
-                            if i >= bytes.len() || bytes[i] == b'\n' {
-                                return Err(err(src, start, "unterminated quoted value"));
-                            }
-                            match bytes[i] {
-                                b'"' => {
-                                    i += 1;
-                                    break;
-                                }
-                                b'\\' => {
-                                    i += 1;
-                                    match bytes.get(i) {
-                                        Some(b'\\') => out.push('\\'),
-                                        Some(b'"') => out.push('"'),
-                                        Some(b'n') => out.push('\n'),
-                                        Some(b't') => out.push('\t'),
-                                        other => {
-                                            return Err(err(
-                                                src,
-                                                i,
-                                                format!(
-                                                    "bad escape '\\{}'",
-                                                    other.map(|&b| b as char).unwrap_or(' ')
-                                                ),
-                                            ))
-                                        }
-                                    }
-                                    i += 1;
-                                }
-                                _ => {
-                                    // Multi-byte UTF-8 advances byte-wise;
-                                    // re-slice to keep chars intact.
-                                    let rest = &src[i..];
-                                    let c = rest.chars().next().unwrap();
-                                    out.push(c);
-                                    i += c.len_utf8();
-                                }
-                            }
-                        }
-                        Some(out)
+                        let (value, end) = quoted(src, start, i + 1)?;
+                        i = end;
+                        Some(value)
                     } else {
                         // Bare value: runs to whitespace/separator/comment.
                         let vstart = i;
@@ -171,7 +138,7 @@ fn tokenize(src: &str) -> Result<Vec<Statement>, ParseError> {
                         if vstart == i {
                             return Err(err(src, start, format!("'{key}=' has an empty value")));
                         }
-                        Some(src[vstart..i].to_string())
+                        Some(Cow::Borrowed(&src[vstart..i]))
                     }
                 } else {
                     None
@@ -182,11 +149,11 @@ fn tokenize(src: &str) -> Result<Vec<Statement>, ParseError> {
                     value,
                 };
                 match current.as_mut() {
-                    Some(stmt) => stmt.tokens.push(token),
+                    Some(stmt) => stmt.tokens.push(Some(token)),
                     None => {
                         current = Some(Statement {
-                            offset: start,
-                            tokens: vec![token],
+                            head: token,
+                            tokens: Vec::new(),
                         })
                     }
                 }
@@ -199,25 +166,75 @@ fn tokenize(src: &str) -> Result<Vec<Statement>, ParseError> {
     Ok(statements)
 }
 
-/// Attribute cursor over a statement's tail; rejects leftovers on finish.
-struct Attrs<'a> {
-    src: &'a str,
-    stmt_offset: usize,
-    items: Vec<Option<Token>>,
+/// The body of a quoted value that opens before byte `i`, and the offset
+/// just past its closing quote; `start` is the offset of its key. Every
+/// byte the scan stops at is ASCII, so the runs it copies between escapes
+/// keep multi-byte characters whole, and a value without an escape is
+/// borrowed.
+fn quoted(src: &str, start: usize, mut i: usize) -> Result<(Cow<'_, str>, usize), ParseError> {
+    let bytes = src.as_bytes();
+    let mut run = i;
+    let mut escaped: Option<String> = None;
+    loop {
+        match bytes.get(i) {
+            None | Some(b'\n') => return Err(err(src, start, "unterminated quoted value")),
+            Some(b'"') => {
+                let value = match escaped {
+                    None => Cow::Borrowed(&src[run..i]),
+                    Some(mut out) => {
+                        out.push_str(&src[run..i]);
+                        Cow::Owned(out)
+                    }
+                };
+                return Ok((value, i + 1));
+            }
+            Some(b'\\') => {
+                let out = escaped.get_or_insert_with(String::new);
+                out.push_str(&src[run..i]);
+                i += 1;
+                out.push(match bytes.get(i) {
+                    Some(b'\\') => '\\',
+                    Some(b'"') => '"',
+                    Some(b'n') => '\n',
+                    Some(b't') => '\t',
+                    other => {
+                        return Err(err(
+                            src,
+                            i,
+                            format!(
+                                "bad escape '\\{}'",
+                                other.map(|&b| b as char).unwrap_or(' ')
+                            ),
+                        ))
+                    }
+                });
+                i += 1;
+                run = i;
+            }
+            Some(_) => i += 1,
+        }
+    }
 }
 
-impl<'a> Attrs<'a> {
-    fn new(src: &'a str, stmt_offset: usize, tokens: &[Token]) -> Attrs<'a> {
+/// Attribute cursor over a statement's tokens; rejects leftovers on finish.
+struct Attrs<'a, 's> {
+    src: &'s str,
+    stmt_offset: usize,
+    items: &'a mut [Option<Token<'s>>],
+}
+
+impl<'a, 's> Attrs<'a, 's> {
+    fn new(src: &'s str, stmt: &'a mut Statement<'s>) -> Attrs<'a, 's> {
         Attrs {
             src,
-            stmt_offset,
-            items: tokens.iter().cloned().map(Some).collect(),
+            stmt_offset: stmt.head.offset,
+            items: &mut stmt.tokens,
         }
     }
 
     /// Take `key=value`, if present.
-    fn take(&mut self, key: &str) -> Result<Option<(usize, String)>, ParseError> {
-        for slot in &mut self.items {
+    fn take(&mut self, key: &str) -> Result<Option<(usize, Cow<'s, str>)>, ParseError> {
+        for slot in self.items.iter_mut() {
             if slot.as_ref().is_some_and(|t| t.key == key) {
                 let t = slot.take().unwrap();
                 return match t.value {
@@ -230,14 +247,14 @@ impl<'a> Attrs<'a> {
     }
 
     /// Take a required `key=value`.
-    fn require(&mut self, key: &str) -> Result<(usize, String), ParseError> {
+    fn require(&mut self, key: &str) -> Result<(usize, Cow<'s, str>), ParseError> {
         self.take(key)?
             .ok_or_else(|| err(self.src, self.stmt_offset, format!("missing '{key}='")))
     }
 
     /// Take a bare flag, if present.
     fn take_flag(&mut self, key: &str) -> Result<bool, ParseError> {
-        for slot in &mut self.items {
+        for slot in self.items.iter_mut() {
             if slot.as_ref().is_some_and(|t| t.key == key) {
                 let t = slot.take().unwrap();
                 if t.value.is_some() {
@@ -251,7 +268,7 @@ impl<'a> Attrs<'a> {
 
     /// Error out on any attribute nobody consumed.
     fn finish(self) -> Result<(), ParseError> {
-        match self.items.into_iter().flatten().next() {
+        match self.items.iter().flatten().next() {
             Some(slot) => Err(err(
                 self.src,
                 slot.offset,
@@ -278,24 +295,24 @@ fn parse_tok<T>(src: &str, offset: usize, what: &str, res: Result<T, String>) ->
     res.map_err(|e| err(src, offset, format!("bad {what}: {e}")))
 }
 
-fn take_u64(src: &str, attrs: &mut Attrs<'_>, key: &str) -> Result<Option<u64>, ParseError> {
+fn take_u64(src: &str, attrs: &mut Attrs<'_, '_>, key: &str) -> Result<Option<u64>, ParseError> {
     match attrs.take(key)? {
         Some((off, v)) => Ok(Some(parse_with(src, off, key, &v, "a number")?)),
         None => Ok(None),
     }
 }
 
-fn require_u64(src: &str, attrs: &mut Attrs<'_>, key: &str) -> Result<u64, ParseError> {
+fn require_u64(src: &str, attrs: &mut Attrs<'_, '_>, key: &str) -> Result<u64, ParseError> {
     let (off, v) = attrs.require(key)?;
     parse_with(src, off, key, &v, "a number")
 }
 
-fn require_usize(src: &str, attrs: &mut Attrs<'_>, key: &str) -> Result<usize, ParseError> {
+fn require_usize(src: &str, attrs: &mut Attrs<'_, '_>, key: &str) -> Result<usize, ParseError> {
     let (off, v) = attrs.require(key)?;
     parse_with(src, off, key, &v, "a number")
 }
 
-fn require_logp(src: &str, attrs: &mut Attrs<'_>) -> Result<LogpParams, ParseError> {
+fn require_logp(src: &str, attrs: &mut Attrs<'_, '_>) -> Result<LogpParams, ParseError> {
     let (off, v) = attrs.require("logp")?;
     let parts: Vec<&str> = v.split(':').collect();
     if parts.len() != 4 {
@@ -310,28 +327,32 @@ fn require_logp(src: &str, attrs: &mut Attrs<'_>) -> Result<LogpParams, ParseErr
     LogpParams::new(p, l, o, g).map_err(|e| err(src, off, format!("'logp={v}': {e}")))
 }
 
-fn require_plan(src: &str, attrs: &mut Attrs<'_>, key: &str) -> Result<Option<FaultPlan>, ParseError> {
+fn require_plan(
+    src: &str,
+    attrs: &mut Attrs<'_, '_>,
+    key: &str,
+) -> Result<Option<FaultPlan>, ParseError> {
     match attrs.take(key)? {
         Some((off, v)) => Ok(Some(parse_tok(src, off, "fault plan", v.parse())?)),
         None => Ok(None),
     }
 }
 
-fn parse_cell(src: &str, stmt: &Statement) -> Result<CellDoc, ParseError> {
-    let kind = stmt.tokens.get(1).ok_or_else(|| {
-        err(src, stmt.offset, "cell statement needs a kind (measure | host | route | route-big | superstep | conformance | stack | sort | stream | bsf)")
+fn parse_cell<'s>(src: &'s str, stmt: &mut Statement<'s>) -> Result<CellDoc, ParseError> {
+    let kind = stmt.tokens.first_mut().and_then(Option::take).ok_or_else(|| {
+        err(src, stmt.head.offset, "cell statement needs a kind (measure | host | route | route-big | superstep | conformance | stack | sort | stream | bsf)")
     })?;
     if kind.value.is_some() {
         return Err(err(src, kind.offset, "cell kind takes no value"));
     }
-    let mut attrs = Attrs::new(src, stmt.offset, &stmt.tokens[2..]);
+    let mut attrs = Attrs::new(src, stmt);
 
-    let work = match kind.key.as_str() {
+    let work = match kind.key {
         "measure" => {
             let (noff, nv) = attrs.require("net")?;
             let net: Net = parse_tok(src, noff, "net", nv.parse())?;
             let (moff, mv) = attrs.require("mode")?;
-            let mode = match mv.as_str() {
+            let mode = match &*mv {
                 "multi" => bvl_net::PortMode::Multi,
                 "single" => bvl_net::PortMode::Single,
                 other => {
@@ -340,7 +361,7 @@ fn parse_cell(src: &str, stmt: &Statement) -> Result<CellDoc, ParseError> {
             };
             let seed = require_u64(src, &mut attrs, "seed")?;
             let (voff, vv) = attrs.require("view")?;
-            let view = match vv.as_str() {
+            let view = match &*vv {
                 "main" => {
                     let (foff, fv) = attrs.require("family")?;
                     View::Main {
@@ -352,14 +373,14 @@ fn parse_cell(src: &str, stmt: &Statement) -> Result<CellDoc, ParseError> {
                     let (_, label) = attrs.require("label")?;
                     View::Scaling {
                         family: parse_tok(src, foff, "family", parse_family(&fv))?,
-                        label,
+                        label: label.into_owned(),
                     }
                 }
                 "obs1" => View::Obs1 {
-                    label: attrs.require("label")?.1,
+                    label: attrs.require("label")?.1.into_owned(),
                 },
                 "k6" => View::K6 {
-                    label: attrs.require("label")?.1,
+                    label: attrs.require("label")?.1.into_owned(),
                 },
                 other => {
                     return Err(err(
@@ -400,7 +421,7 @@ fn parse_cell(src: &str, stmt: &Statement) -> Result<CellDoc, ParseError> {
             let logp = require_logp(src, &mut attrs)?;
             let h = require_usize(src, &mut attrs, "h")?;
             let (soff, sv) = attrs.require("scheme")?;
-            let scheme = match sv.as_str() {
+            let scheme = match &*sv {
                 "network" => Scheme::Network,
                 "columnsort" => Scheme::Columnsort,
                 other => {
@@ -444,7 +465,7 @@ fn parse_cell(src: &str, stmt: &Statement) -> Result<CellDoc, ParseError> {
                 ));
             };
             let (woff, wv) = attrs.require("wl")?;
-            let wl = match wv.as_str() {
+            let wl = match &*wv {
                 "mod7fan" => SuperWl::Mod7Fan,
                 other => return Err(err(src, woff, format!("'wl={other}' is not mod7fan"))),
             };
@@ -514,9 +535,9 @@ fn parse_cell(src: &str, stmt: &Statement) -> Result<CellDoc, ParseError> {
         }
     };
 
-    let domain = attrs.take("domain")?.map(|(_, v)| v);
+    let domain = attrs.take("domain")?.map(|(_, v)| v.into_owned());
     let plan = require_plan(src, &mut attrs, "plan")?;
-    let (_, params) = attrs.require("params")?;
+    let params = attrs.require("params")?.1.into_owned();
     let force = attrs.take_flag("force")?;
     let smoke = attrs.take_flag("smoke")?;
     attrs.finish()?;
@@ -531,13 +552,13 @@ fn parse_cell(src: &str, stmt: &Statement) -> Result<CellDoc, ParseError> {
     })
 }
 
-fn parse_grid(src: &str, stmt: &Statement) -> Result<GridDoc, ParseError> {
-    let mut attrs = Attrs::new(src, stmt.offset, &stmt.tokens[1..]);
-    let (_, exp) = attrs.require("exp")?;
+fn parse_grid<'s>(src: &'s str, stmt: &mut Statement<'s>) -> Result<GridDoc, ParseError> {
+    let mut attrs = Attrs::new(src, stmt);
+    let exp = attrs.require("exp")?.1.into_owned();
     let master = require_u64(src, &mut attrs, "master")?;
-    let domain = attrs.take("domain")?.map(|(_, v)| v);
+    let domain = attrs.take("domain")?.map(|(_, v)| v.into_owned());
     let only = match attrs.take("only")? {
-        Some((off, v)) => Some(match v.as_str() {
+        Some((off, v)) => Some(match &*v {
             "smoke" => OnlyIn::Smoke,
             "full" => OnlyIn::Full,
             other => return Err(err(src, off, format!("'only={other}' is not smoke | full"))),
@@ -569,48 +590,50 @@ fn parse_grid(src: &str, stmt: &Statement) -> Result<GridDoc, ParseError> {
 /// [`ScenarioDoc::repro`] exactly.
 pub fn parse(src: &str) -> Result<ScenarioDoc, ParseError> {
     let statements = tokenize(src)?;
-    let mut stmts = statements.iter();
+    let mut stmts = statements.into_iter();
 
     let header = stmts
         .next()
         .ok_or_else(|| err(src, 0, "empty document (expected 'scenario NAME')"))?;
-    if header.tokens[0].key != "scenario" || header.tokens[0].value.is_some() {
+    if header.head.key != "scenario" || header.head.value.is_some() {
         return Err(err(
             src,
-            header.offset,
+            header.head.offset,
             "document must start with 'scenario NAME'",
         ));
     }
-    if header.tokens.len() != 2 || header.tokens[1].value.is_some() {
-        return Err(err(
-            src,
-            header.offset,
-            "'scenario' takes exactly one name",
-        ));
-    }
-    let name = header.tokens[1].key.clone();
+    let name = match header.tokens.as_slice() {
+        [Some(Token {
+            key, value: None, ..
+        })] => *key,
+        _ => {
+            return Err(err(
+                src,
+                header.head.offset,
+                "'scenario' takes exactly one name",
+            ))
+        }
+    };
 
     let mut doc = ScenarioDoc::new(name);
-    for stmt in stmts {
-        match stmt.tokens[0].key.as_str() {
-            "grid" => doc.grids.push(parse_grid(src, stmt)?),
+    for mut stmt in stmts {
+        match stmt.head.key {
+            "grid" => doc.grids.push(parse_grid(src, &mut stmt)?),
             "cell" => match doc.grids.last_mut() {
-                Some(grid) => grid.cells.push(parse_cell(src, stmt)?),
+                Some(grid) => grid.cells.push(parse_cell(src, &mut stmt)?),
                 None => {
                     return Err(err(
                         src,
-                        stmt.offset,
+                        stmt.head.offset,
                         "'cell' before any 'grid' statement",
                     ))
                 }
             },
-            "scenario" => {
-                return Err(err(src, stmt.offset, "duplicate 'scenario' statement"))
-            }
+            "scenario" => return Err(err(src, stmt.head.offset, "duplicate 'scenario' statement")),
             other => {
                 return Err(err(
                     src,
-                    stmt.offset,
+                    stmt.head.offset,
                     format!("unknown statement '{other}' (grid | cell)"),
                 ))
             }
