@@ -8,6 +8,7 @@ use bvl_exec::{drive, Executor, Instruments, RunOptions, RunOutcome, ShardPlan};
 use bvl_model::trace::{Event, Trace};
 use bvl_model::{Envelope, ModelError, MsgId, Payload, ProcId, Steps};
 use bvl_obs::{Counter, CounterBlock, Hist, Span, SpanKind};
+use std::collections::VecDeque;
 
 /// Outcome of a completed run.
 #[derive(Clone, Debug)]
@@ -41,9 +42,11 @@ pub struct BspMachine<P: BspProcess> {
     params: BspParams,
     config: BspConfig,
     procs: Vec<P>,
-    inboxes: Vec<Vec<Envelope>>,
-    // Recycled across supersteps: refilled by the local phase, drained by
-    // the communication phase, allocation reused.
+    // Read in place by the local phase and refilled by the communication
+    // phase: each keeps its buffer across supersteps.
+    inboxes: Vec<VecDeque<Envelope>>,
+    // One per local-phase block, recycled across supersteps: refilled by
+    // the local phase, drained by the communication phase.
     outboxes: Vec<Vec<(ProcId, Payload)>>,
     halted: Vec<bool>,
     // Per-superstep, per-processor tallies, recycled like the outboxes.
@@ -81,8 +84,8 @@ impl<P: BspProcess> BspMachine<P> {
             params,
             config,
             procs,
-            inboxes: vec![Vec::new(); p],
-            outboxes: vec![Vec::new(); p],
+            inboxes: vec![VecDeque::new(); p],
+            outboxes: Vec::new(),
             halted: vec![false; p],
             scratch: Scratch::default(),
             ledger: CostLedger::new(),
@@ -104,9 +107,10 @@ impl<P: BspProcess> BspMachine<P> {
     }
 
     /// Fan the communication phase out over `n` destination-partitioned
-    /// worker shards (default 1). Message ids come from prefix sums over
-    /// the outboxes and per-inbox push order is preserved, so results and
-    /// traces are bit-identical for every `n` (DESIGN.md §13).
+    /// worker shards (default 1). A message's id is its position in the
+    /// superstep's `(sender, submission)` order and per-inbox push order is
+    /// preserved, so results and traces are bit-identical for every `n`
+    /// (DESIGN.md §13).
     pub fn set_shards(&mut self, n: usize) {
         self.shards = n.max(1);
     }
@@ -173,7 +177,7 @@ impl<P: BspProcess> BspMachine<P> {
     /// (test/bootstrap convenience; does not enter the cost ledger).
     pub fn preload(&mut self, dst: ProcId, payload: Payload) {
         let env = Envelope::new(dst, dst, payload);
-        self.inboxes[dst.index()].push(env);
+        self.inboxes[dst.index()].push_back(env);
     }
 
     /// Execute one superstep. Returns its record, or `None` if the machine
@@ -189,6 +193,7 @@ impl<P: BspProcess> BspMachine<P> {
             mut recvd,
         } = std::mem::take(&mut self.scratch);
         w_of.resize(p, 0);
+        sent.resize(p, 0);
         recvd.clear();
         recvd.resize(p, 0);
         let t0 = self.ledger.total();
@@ -200,50 +205,17 @@ impl<P: BspProcess> BspMachine<P> {
             crate::parallel::LocalPhase {
                 procs: &mut self.procs,
                 inboxes: &mut self.inboxes,
-                outboxes: &mut self.outboxes,
                 halted: &mut self.halted,
                 w: &mut w_of,
+                sent: &mut sent,
             },
+            &mut self.outboxes,
             self.superstep,
             self.config.retain_unread,
             self.threads,
         );
         let w_max = w_of.iter().copied().max().unwrap_or(0);
-        sent.clear();
-        sent.extend(self.outboxes.iter().map(|ob| ob.len() as u64));
-
-        // Communication phase: deterministic delivery order (sender id, then
-        // submission order at the sender). With shards > 1 the destinations
-        // are partitioned across worker threads; prefix-summed message ids
-        // and the preserved per-inbox push order keep the outcome
-        // bit-identical to the sequential drain.
-        if self.shards > 1 && p >= 2 {
-            self.comm_phase_sharded(&mut recvd);
-        } else {
-            for i in 0..p {
-                for (dst, payload) in self.outboxes[i].drain(..) {
-                    recvd[dst.index()] += 1;
-                    let id = self.instruments.alloc_msg_id();
-                    let now = self.ledger.total();
-                    let env = Envelope {
-                        id,
-                        src: ProcId::from(i),
-                        dst,
-                        payload,
-                        submitted: now,
-                        accepted: now,
-                        delivered: now,
-                    };
-                    self.instruments.trace.record(Event::Submit {
-                        at: now,
-                        proc: ProcId::from(i),
-                        msg: id,
-                        dst,
-                    });
-                    self.inboxes[dst.index()].push(env);
-                }
-            }
-        }
+        self.comm_phase(&sent, &mut recvd);
 
         let h = sent
             .iter()
@@ -291,74 +263,85 @@ impl<P: BspProcess> BspMachine<P> {
         Some(rec)
     }
 
-    /// The destination-partitioned communication phase. Each worker shard
-    /// owns a contiguous block of inboxes, scans every outbox in (sender,
-    /// submission) order and keeps only messages bound for its block, so
-    /// each inbox receives exactly the sequence the sequential drain would
-    /// have pushed. Message ids are precomputed from prefix sums over the
-    /// outbox lengths — the id the sequential `alloc_msg_id` loop would
-    /// have allocated — and Submit events are traced in one sender-order
-    /// pass, so the trace, the ids and the inbox contents are all
-    /// bit-identical at any shard count.
-    fn comm_phase_sharded(&mut self, recvd: &mut [u64]) {
+    /// The communication phase: deliver every send of the block outboxes,
+    /// in `(sender, submission)` order, to its destination's inbox, and
+    /// count each processor's arrivals into `recvd`. Read in block order the
+    /// outboxes hold the sends back to back, processor `i` contributing
+    /// `sent[i]` of them, so the `k`-th message gets id `first + k` — the id
+    /// a one-at-a-time allocation in that order hands out. Arrivals are
+    /// counted before the first push and each inbox is reserved for them
+    /// (see [`reserve_arrivals`]), so a steady exchange reuses every buffer.
+    ///
+    /// With `shards > 1` the destinations are partitioned across worker
+    /// threads. Each shard owns a contiguous block of inboxes, scans the
+    /// whole sequence and keeps only the messages bound for its block, so
+    /// each inbox receives exactly the sequence the sequential drain
+    /// pushes. Submit events are traced in one pass beforehand, so the
+    /// trace, the ids and the inbox contents are bit-identical at any shard
+    /// count.
+    fn comm_phase(&mut self, sent: &[u64], recvd: &mut [u64]) {
         let p = self.params.p;
-        let plan = ShardPlan::new(p, self.shards);
         let now = self.ledger.total();
-        let mut bases = Vec::with_capacity(p);
-        let mut total = 0u64;
-        for ob in &self.outboxes {
-            bases.push(total);
-            total += ob.len() as u64;
+        let first = self.instruments.alloc_msg_id_block(sent.iter().sum()).0;
+        for &(dst, _) in self.outboxes.iter().flatten() {
+            recvd[dst.index()] += 1;
         }
-        let first = self.instruments.alloc_msg_id_block(total).0;
         if self.instruments.trace.is_enabled() {
-            for (i, ob) in self.outboxes.iter().enumerate() {
-                for (j, &(dst, _)) in ob.iter().enumerate() {
-                    self.instruments.trace.record(Event::Submit {
-                        at: now,
-                        proc: ProcId::from(i),
-                        msg: MsgId(first + bases[i] + j as u64),
-                        dst,
-                    });
-                }
+            let msgs = self.outboxes.iter().flatten();
+            for (k, (src, &(dst, _))) in senders(sent).zip(msgs).enumerate() {
+                self.instruments.trace.record(Event::Submit {
+                    at: now,
+                    proc: src,
+                    msg: MsgId(first + k as u64),
+                    dst,
+                });
             }
         }
-        let outboxes = &self.outboxes;
-        let bases = &bases;
-        let mut inbox_blocks: Vec<&mut [Vec<Envelope>]> = Vec::with_capacity(plan.shards());
-        let mut recvd_blocks: Vec<&mut [u64]> = Vec::with_capacity(plan.shards());
-        let mut inbox_rest: &mut [Vec<Envelope>] = &mut self.inboxes;
-        let mut recvd_rest: &mut [u64] = recvd;
-        for s in 0..plan.shards() {
-            let len = plan.range(s).len();
-            let (ib, it) = inbox_rest.split_at_mut(len);
-            let (rb, rt) = recvd_rest.split_at_mut(len);
-            inbox_blocks.push(ib);
-            recvd_blocks.push(rb);
-            inbox_rest = it;
-            recvd_rest = rt;
+        if self.shards <= 1 || p < 2 {
+            for (inbox, &n) in self.inboxes.iter_mut().zip(recvd.iter()) {
+                reserve_arrivals(inbox, n as usize);
+            }
+            let msgs = self.outboxes.iter_mut().flat_map(|ob| ob.drain(..));
+            for (k, (src, (dst, payload))) in senders(sent).zip(msgs).enumerate() {
+                self.inboxes[dst.index()].push_back(Envelope {
+                    id: MsgId(first + k as u64),
+                    src,
+                    dst,
+                    payload,
+                    submitted: now,
+                    accepted: now,
+                    delivered: now,
+                });
+            }
+            return;
         }
+        let plan = ShardPlan::new(p, self.shards);
+        let outboxes = &self.outboxes;
+        let mut inbox_rest: &mut [VecDeque<Envelope>] = &mut self.inboxes;
+        let mut recvd_rest: &[u64] = recvd;
         std::thread::scope(|scope| {
-            for (s, (inboxes, recvd)) in
-                inbox_blocks.into_iter().zip(recvd_blocks).enumerate()
-            {
+            for s in 0..plan.shards() {
                 let range = plan.range(s);
+                let (inboxes, it) = std::mem::take(&mut inbox_rest).split_at_mut(range.len());
+                let (arrivals, rt) = recvd_rest.split_at(range.len());
+                (inbox_rest, recvd_rest) = (it, rt);
                 scope.spawn(move || {
-                    for (i, ob) in outboxes.iter().enumerate() {
-                        for (j, (dst, payload)) in ob.iter().enumerate() {
-                            let d = dst.index();
-                            if range.contains(&d) {
-                                recvd[d - range.start] += 1;
-                                inboxes[d - range.start].push(Envelope {
-                                    id: MsgId(first + bases[i] + j as u64),
-                                    src: ProcId::from(i),
-                                    dst: *dst,
-                                    payload: payload.clone(),
-                                    submitted: now,
-                                    accepted: now,
-                                    delivered: now,
-                                });
-                            }
+                    for (inbox, &n) in inboxes.iter_mut().zip(arrivals) {
+                        reserve_arrivals(inbox, n as usize);
+                    }
+                    let msgs = outboxes.iter().flatten();
+                    for (k, (src, (dst, payload))) in senders(sent).zip(msgs).enumerate() {
+                        let d = dst.index();
+                        if range.contains(&d) {
+                            inboxes[d - range.start].push_back(Envelope {
+                                id: MsgId(first + k as u64),
+                                src,
+                                dst: *dst,
+                                payload: payload.clone(),
+                                submitted: now,
+                                accepted: now,
+                                delivered: now,
+                            });
                         }
                     }
                 });
@@ -468,6 +451,28 @@ impl<P: BspProcess> Executor for BspMachine<P> {
             work: self.ledger.supersteps(),
             halted: self.all_halted(),
         }
+    }
+}
+
+/// The sender of each message of a superstep's outboxes, read in block
+/// order: processor `i` contributed `sent[i]` consecutive messages.
+fn senders(sent: &[u64]) -> impl Iterator<Item = ProcId> + '_ {
+    sent.iter()
+        .enumerate()
+        .flat_map(|(i, &n)| std::iter::repeat_n(ProcId::from(i), n as usize))
+}
+
+/// Make room in `inbox` for `n` arrivals before the first is pushed. An
+/// empty inbox (the usual case: the local phase read or discarded its pool)
+/// is sized exactly to them and keeps that buffer, so a steady exchange
+/// never frees and regrows it. One still holding messages — retained
+/// unread ones, or a halted processor's — grows amortized instead, since
+/// exact growth would copy a pool that keeps filling once per superstep.
+fn reserve_arrivals(inbox: &mut VecDeque<Envelope>, n: usize) {
+    if inbox.is_empty() {
+        inbox.reserve_exact(n);
+    } else {
+        inbox.reserve(n);
     }
 }
 

@@ -13,66 +13,62 @@
 
 use crate::process::{BspProcess, Status, SuperstepCtx};
 use bvl_model::{Envelope, Payload, ProcId};
+use std::collections::VecDeque;
 
 /// The per-processor state one local phase reads and writes, as parallel
 /// slices indexed by processor id. Every slice belongs to the machine and
-/// is reused across supersteps, so a local phase allocates nothing.
+/// is reused across supersteps.
 pub(crate) struct LocalPhase<'a, P> {
     pub procs: &'a mut [P],
-    pub inboxes: &'a mut [Vec<Envelope>],
-    pub outboxes: &'a mut [Vec<(ProcId, Payload)>],
+    /// Read in place; unread messages stay only under `retain_unread`.
+    pub inboxes: &'a mut [VecDeque<Envelope>],
     /// Read to skip halted processes; set for each process that halts.
     pub halted: &'a mut [bool],
     /// Filled with each process's local work (0 for halted ones).
     pub w: &'a mut [u64],
-}
-
-/// Run the local phase of one process against its inbox, honouring the
-/// `retain_unread` pool semantics. The process's sends accumulate into
-/// `outbox` (passed empty, returned filled) so its allocation is reused
-/// across supersteps. Returns the local work and whether it halted.
-fn run_one<P: BspProcess>(
-    proc: &mut P,
-    inbox: &mut Vec<Envelope>,
-    outbox: &mut Vec<(ProcId, Payload)>,
-    superstep: u64,
-    p: usize,
-    me: usize,
-    retain_unread: bool,
-) -> (u64, bool) {
-    let buf = std::mem::take(outbox);
-    let mut ctx = SuperstepCtx::with_outbox(ProcId::from(me), p, superstep, inbox, buf);
-    let status = proc.superstep(&mut ctx);
-    let (w, sent, _read) = ctx.finish();
-    *outbox = sent;
-    if !retain_unread {
-        inbox.clear();
-    }
-    (w, status == Status::Halt)
+    /// Filled with the number of messages each process sent.
+    pub sent: &'a mut [u64],
 }
 
 impl<P: BspProcess> LocalPhase<'_, P> {
-    /// Run every process of this block in order; `base` is the id of its
-    /// first processor and `p` the machine size.
-    fn run(self, base: usize, p: usize, superstep: u64, retain_unread: bool) {
+    /// Run every process of this block in order, appending their sends to
+    /// the block's `outbox` — so it holds them in `(sender, submission)`
+    /// order. `base` is the id of the block's first processor and `p` the
+    /// machine size.
+    fn run(
+        self,
+        outbox: &mut Vec<(ProcId, Payload)>,
+        base: usize,
+        p: usize,
+        superstep: u64,
+        retain_unread: bool,
+    ) {
         let LocalPhase {
             procs,
             inboxes,
-            outboxes,
             halted,
             w,
+            sent,
         } = self;
-        for (k, ((((proc, inbox), outbox), halted), w)) in procs
+        for (k, ((((proc, inbox), halted), w), sent)) in procs
             .iter_mut()
             .zip(inboxes.iter_mut())
-            .zip(outboxes.iter_mut())
             .zip(halted.iter_mut())
             .zip(w.iter_mut())
+            .zip(sent.iter_mut())
             .enumerate()
         {
-            *w = 0;
-            if !*halted {
-                (*w, *halted) = run_one(proc, inbox, outbox, superstep, p, base + k, retain_unread);
+            (*w, *sent) = (0, 0);
+            if *halted {
+                continue;
+            }
+            let mut ctx = SuperstepCtx::new(ProcId::from(base + k), p, superstep, inbox, outbox);
+            let status = proc.superstep(&mut ctx);
+            let (work, n) = ctx.finish();
+            (*w, *sent) = (work, n as u64);
+            *halted = status == Status::Halt;
+            if !retain_unread {
+                inbox.clear();
             }
         }
     }
@@ -81,43 +77,62 @@ impl<P: BspProcess> LocalPhase<'_, P> {
 /// Execute the local phase for all non-halted processes, sequentially or on
 /// `threads` OS threads (in contiguous blocks of processors). Either way
 /// processor `i`'s work lands in `w[i]`, its halt in `halted[i]` and its
-/// sends in `outboxes[i]`.
+/// send count in `sent[i]`, and block `b`'s sends in `outboxes[b]`; read
+/// in block order, the outboxes hold every send in `(sender, submission)`
+/// order.
+///
+/// The outboxes belong to the machine and arrive empty with their
+/// capacity kept, so a block allocates for its sends only when it sends
+/// more than in any earlier superstep (amortized growth); the inboxes are
+/// never replaced. Beyond what the process bodies allocate, the sequential
+/// phase allocates nothing else; the threaded one also spawns its scoped
+/// workers.
 pub(crate) fn local_phase<P: BspProcess>(
     phase: LocalPhase<'_, P>,
+    outboxes: &mut Vec<Vec<(ProcId, Payload)>>,
     superstep: u64,
     retain_unread: bool,
     threads: usize,
 ) {
     let p = phase.procs.len();
-    if threads <= 1 || p < 2 {
-        phase.run(0, p, superstep, retain_unread);
+    let chunk = if threads <= 1 || p < 2 {
+        p.max(1)
+    } else {
+        p.div_ceil(threads.min(p))
+    };
+    let blocks = p.div_ceil(chunk).max(1);
+    if outboxes.len() < blocks {
+        outboxes.resize_with(blocks, Vec::new);
+    }
+    if blocks == 1 {
+        phase.run(&mut outboxes[0], 0, p, superstep, retain_unread);
         return;
     }
-    let chunk = p.div_ceil(threads.min(p));
     let LocalPhase {
         procs,
         inboxes,
-        outboxes,
         halted,
         w,
+        sent,
     } = phase;
     std::thread::scope(|s| {
-        for (ci, ((((procs, inboxes), outboxes), halted), w)) in procs
+        for (ci, (((((procs, inboxes), halted), w), sent), outbox)) in procs
             .chunks_mut(chunk)
             .zip(inboxes.chunks_mut(chunk))
-            .zip(outboxes.chunks_mut(chunk))
             .zip(halted.chunks_mut(chunk))
             .zip(w.chunks_mut(chunk))
+            .zip(sent.chunks_mut(chunk))
+            .zip(outboxes.iter_mut())
             .enumerate()
         {
             let block = LocalPhase {
                 procs,
                 inboxes,
-                outboxes,
                 halted,
                 w,
+                sent,
             };
-            s.spawn(move || block.run(ci * chunk, p, superstep, retain_unread));
+            s.spawn(move || block.run(outbox, ci * chunk, p, superstep, retain_unread));
         }
     });
 }

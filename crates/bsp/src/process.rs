@@ -1,6 +1,7 @@
 //! The BSP programming interface.
 
 use bvl_model::{Envelope, Payload, ProcId};
+use std::collections::VecDeque;
 
 /// What a process wants after finishing a superstep.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -32,55 +33,49 @@ impl BspProcess for Box<dyn BspProcess> {
 
 /// The view a process has of the machine during its local computation phase.
 ///
-/// The context takes the input pool out of `inbox` and hands envelopes to
-/// the program **by move** — no per-message clone. [`SuperstepCtx::finish`]
-/// puts the unread remainder back into `inbox` (the caller decides whether
-/// to keep or discard it, per the machine's pool semantics).
+/// The context reads the input pool in place: [`SuperstepCtx::recv`] moves
+/// each envelope out of the front of the caller's `inbox` deque — no
+/// per-message clone, no second buffer — and whatever the program leaves
+/// unread stays there, ahead of the next communication phase's arrivals
+/// (the caller decides whether to keep or discard it, per the machine's
+/// pool semantics). Sends append to the caller's `outbox` after whatever it
+/// already holds, so one buffer can collect a whole block of processors'
+/// sends in `(sender, submission)` order.
 #[derive(Debug)]
 pub struct SuperstepCtx<'a> {
     me: ProcId,
     p: usize,
     superstep: u64,
-    slot: &'a mut Vec<Envelope>,
-    pool: std::vec::IntoIter<Envelope>,
-    read: usize,
-    outbox: Vec<(ProcId, Payload)>,
+    inbox: &'a mut VecDeque<Envelope>,
+    outbox: &'a mut Vec<(ProcId, Payload)>,
+    /// `outbox.len()` when the context was built.
+    start: usize,
     work: u64,
 }
 
 impl<'a> SuperstepCtx<'a> {
-    /// Build a context for one local computation phase. Public so that
-    /// external host simulators (e.g. the BSP-on-LogP runner in `bvl-core`)
-    /// can drive `BspProcess` implementations outside [`crate::BspMachine`].
+    /// Build a context for one local computation phase over `inbox` (read
+    /// in place) and `outbox` (appended to). Neither buffer is replaced, so
+    /// both keep their allocations across supersteps: a caller that reuses
+    /// them allocates only when a superstep brings more messages than the
+    /// buffers have held before. Public so that external host simulators
+    /// (e.g. the BSP-on-LogP runner in `bvl-core`) can drive `BspProcess`
+    /// implementations outside [`crate::BspMachine`].
     pub fn new(
         me: ProcId,
         p: usize,
         superstep: u64,
-        inbox: &'a mut Vec<Envelope>,
+        inbox: &'a mut VecDeque<Envelope>,
+        outbox: &'a mut Vec<(ProcId, Payload)>,
     ) -> SuperstepCtx<'a> {
-        Self::with_outbox(me, p, superstep, inbox, Vec::new())
-    }
-
-    /// Like [`SuperstepCtx::new`], but sends accumulate into a recycled
-    /// (empty, possibly pre-allocated) buffer — the engine's steady state
-    /// allocates no outbox storage after warm-up.
-    pub fn with_outbox(
-        me: ProcId,
-        p: usize,
-        superstep: u64,
-        inbox: &'a mut Vec<Envelope>,
-        outbox: Vec<(ProcId, Payload)>,
-    ) -> SuperstepCtx<'a> {
-        debug_assert!(outbox.is_empty(), "recycled outbox must be empty");
-        let pool = std::mem::take(inbox).into_iter();
+        let start = outbox.len();
         SuperstepCtx {
             me,
             p,
             superstep,
-            slot: inbox,
-            pool,
-            read: 0,
+            inbox,
             outbox,
+            start,
             work: 0,
         }
     }
@@ -102,24 +97,19 @@ impl<'a> SuperstepCtx<'a> {
 
     /// Number of messages still unread in the input pool.
     pub fn inbox_len(&self) -> usize {
-        self.pool.len()
+        self.inbox.len()
     }
 
     /// Extract the next message from the input pool (messages arrive sorted
     /// by sender id, then by submission order at the sender — a fixed,
     /// deterministic order).
     pub fn recv(&mut self) -> Option<Envelope> {
-        let e = self.pool.next();
-        if e.is_some() {
-            self.read += 1;
-        }
-        e
+        self.inbox.pop_front()
     }
 
     /// Extract all remaining messages from the input pool.
     pub fn recv_all(&mut self) -> Vec<Envelope> {
-        self.read += self.pool.len();
-        self.pool.by_ref().collect()
+        self.inbox.drain(..).collect()
     }
 
     /// Insert a message into the output pool; it is routed during this
@@ -143,13 +133,11 @@ impl<'a> SuperstepCtx<'a> {
         self.work += w;
     }
 
-    /// Tear down into `(work, outbox, number of messages read)`, restoring
-    /// the unread remainder of the input pool into the `inbox` the context
-    /// was built over. Public for the same external drivers as
-    /// [`SuperstepCtx::new`].
-    pub fn finish(self) -> (u64, Vec<(ProcId, Payload)>, usize) {
-        *self.slot = self.pool.collect();
-        (self.work, self.outbox, self.read)
+    /// Tear down into `(work, messages sent)`; the sends are the last
+    /// `messages sent` entries of the outbox. Public for the same external
+    /// host simulators as [`SuperstepCtx::new`].
+    pub fn finish(self) -> (u64, usize) {
+        (self.work, self.outbox.len() - self.start)
     }
 }
 
@@ -159,37 +147,48 @@ mod tests {
 
     #[test]
     fn ctx_send_and_charge_accumulate_work() {
-        let mut inbox = Vec::new();
-        let mut ctx = SuperstepCtx::new(ProcId(0), 4, 0, &mut inbox);
+        let mut inbox = VecDeque::new();
+        let mut outbox = vec![(ProcId(3), Payload::tagged(1))];
+        let mut ctx = SuperstepCtx::new(ProcId(0), 4, 0, &mut inbox, &mut outbox);
         ctx.charge(5);
         ctx.send(ProcId(1), Payload::word(0, 9));
         ctx.send(ProcId(2), Payload::word(0, 9));
-        let (w, out, read) = ctx.finish();
+        let (w, sent) = ctx.finish();
         assert_eq!(w, 7);
-        assert_eq!(out.len(), 2);
-        assert_eq!(read, 0);
+        assert_eq!(sent, 2);
+        // Sends append after what the outbox already held.
+        assert_eq!(outbox.len(), 3);
+        assert_eq!(outbox[1].0, ProcId(1));
     }
 
     #[test]
     fn ctx_recv_in_order() {
-        let mut inbox = vec![
+        let mut inbox = VecDeque::from(vec![
             Envelope::new(ProcId(1), ProcId(0), Payload::word(0, 10)),
             Envelope::new(ProcId(2), ProcId(0), Payload::word(0, 20)),
-        ];
-        let mut ctx = SuperstepCtx::new(ProcId(0), 4, 1, &mut inbox);
-        assert_eq!(ctx.inbox_len(), 2);
+            Envelope::new(ProcId(3), ProcId(0), Payload::word(0, 30)),
+        ]);
+        let mut outbox = Vec::new();
+        let mut ctx = SuperstepCtx::new(ProcId(0), 4, 1, &mut inbox, &mut outbox);
+        assert_eq!(ctx.inbox_len(), 3);
         assert_eq!(ctx.recv().unwrap().payload.expect_word(), 10);
-        assert_eq!(ctx.inbox_len(), 1);
+        assert_eq!(ctx.inbox_len(), 2);
+        ctx.finish();
+        // The unread remainder stays in the inbox, in order.
+        assert_eq!(inbox.len(), 2);
+        assert_eq!(inbox[0].payload.expect_word(), 20);
+        let mut ctx = SuperstepCtx::new(ProcId(0), 4, 1, &mut inbox, &mut outbox);
         let rest = ctx.recv_all();
-        assert_eq!(rest.len(), 1);
+        assert_eq!(rest.len(), 2);
         assert!(ctx.recv().is_none());
     }
 
     #[test]
     #[should_panic(expected = "send to")]
     fn ctx_rejects_bad_destination() {
-        let mut inbox = Vec::new();
-        let mut ctx = SuperstepCtx::new(ProcId(0), 2, 0, &mut inbox);
+        let mut inbox = VecDeque::new();
+        let mut outbox = Vec::new();
+        let mut ctx = SuperstepCtx::new(ProcId(0), 2, 0, &mut inbox, &mut outbox);
         ctx.send(ProcId(2), Payload::tagged(0));
     }
 }

@@ -26,6 +26,7 @@ use bvl_exec::RunOptions;
 use bvl_logp::LogpParams;
 use bvl_model::{Envelope, HRelation, ModelError, MsgId, Payload, ProcId, Steps};
 use bvl_obs::{CostReport, Counter, Hist, Span, SpanKind};
+use std::collections::VecDeque;
 
 /// How the communication phase routes each superstep's h-relation.
 #[derive(Clone, Copy, Debug)]
@@ -156,7 +157,8 @@ pub fn simulate_bsp_on_logp<P: BspProcess>(
     assert_eq!(programs.len(), p, "need exactly p programs");
     let native = BspParams::new(p, logp.g, logp.l).expect("valid params");
 
-    let mut inboxes: Vec<Vec<Envelope>> = vec![Vec::new(); p];
+    let mut inboxes: Vec<VecDeque<Envelope>> = vec![VecDeque::new(); p];
+    let mut outbox = Vec::new();
     let mut halted = vec![false; p];
     let mut supersteps: Vec<SuperstepBreakdown> = Vec::new();
     let mut total = Steps::ZERO;
@@ -177,12 +179,13 @@ pub fn simulate_bsp_on_logp<P: BspProcess>(
             if halted[i] {
                 continue;
             }
-            let mut inbox = std::mem::take(&mut inboxes[i]);
-            let mut ctx = SuperstepCtx::new(ProcId::from(i), p, index, &mut inbox);
+            let mut ctx =
+                SuperstepCtx::new(ProcId::from(i), p, index, &mut inboxes[i], &mut outbox);
             let status = programs[i].superstep(&mut ctx);
-            let (w, outbox, _read) = ctx.finish();
-            works[i] = w;
-            for (dst, payload) in outbox {
+            works[i] = ctx.finish().0;
+            // The unread remainder of the pool is discarded, per §2.1.
+            inboxes[i].clear();
+            for (dst, payload) in outbox.drain(..) {
                 rel.push(ProcId::from(i), dst, payload);
             }
             if status == Status::Halt {
@@ -277,7 +280,7 @@ pub fn simulate_bsp_on_logp<P: BspProcess>(
                 delivered: total,
             };
             next_msg_id += 1;
-            inboxes[env.dst.index()].push(env);
+            inboxes[env.dst.index()].push_back(env);
         }
 
         let step_total = cb.makespan + t_rout;

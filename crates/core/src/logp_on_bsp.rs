@@ -62,7 +62,8 @@ pub struct GuestCore<P: LogpProcess> {
     local_time: Steps,
     last_submit: Option<Steps>,
     last_acquire: Option<Steps>,
-    /// Delivered-but-unacquired guest messages.
+    /// Delivered-but-unacquired guest messages. Both queues take their
+    /// first allocation at the size that arrives (see [`reserve_first`]).
     queue: VecDeque<Envelope>,
     /// Sends whose submission time falls in a future cycle:
     /// `(submission time, dst, payload)`.
@@ -193,12 +194,26 @@ impl<P: LogpProcess> GuestCore<P> {
                         sent += 1;
                     } else {
                         // Submission lands in a later cycle: transmit then.
+                        reserve_first(&mut self.outgoing, 1);
                         self.outgoing.push_back((t_sub, dst, payload));
                     }
                 }
             }
         }
         (busy, sent)
+    }
+}
+
+/// Make room for `n` more items in a guest queue. The first allocation is
+/// exactly `n`: most guests never hold more than one superstep delivers,
+/// where `VecDeque`'s growth rule would open four slots. Later growth is
+/// amortized, because exact growth would copy a queue that keeps filling
+/// (a guest buffering without receiving) once per superstep.
+fn reserve_first<T>(queue: &mut VecDeque<T>, n: usize) {
+    if queue.capacity() == 0 {
+        queue.reserve_exact(n);
+    } else {
+        queue.reserve(n);
     }
 }
 
@@ -236,6 +251,7 @@ impl<P: LogpProcess> BspProcess for GuestProc<P> {
         let cycle_start = Steps(ctx.superstep_index() * cycle_len);
         let cycle_end = Steps((ctx.superstep_index() + 1) * cycle_len);
         let me = ProcId::from(ctx.me().index());
+        reserve_first(&mut self.core.queue, ctx.inbox_len());
         while let Some(env) = ctx.recv() {
             self.core.arrive(env, cycle_start);
         }

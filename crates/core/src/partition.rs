@@ -22,6 +22,7 @@
 use bvl_bsp::{BspMachine, BspParams, BspProcess, Status, SuperstepCtx};
 use bvl_logp::{LogpConfig, LogpMachine, LogpParams, LogpProcess, Op, ProcView};
 use bvl_model::{Envelope, ModelError, ProcId, Steps};
+use std::collections::VecDeque;
 
 /// A process wrapper that confines a tenant to a contiguous processor range
 /// by translating its virtual ids (LogP side).
@@ -174,7 +175,7 @@ struct BspTenantProc<P: BspProcess> {
 impl<P: BspProcess> BspProcess for BspTenantProc<P> {
     fn superstep(&mut self, ctx: &mut SuperstepCtx<'_>) -> Status {
         // Build a virtual inbox with translated ids.
-        let mut inbox: Vec<Envelope> = ctx
+        let mut inbox: VecDeque<Envelope> = ctx
             .recv_all()
             .into_iter()
             .map(|mut e| {
@@ -183,14 +184,16 @@ impl<P: BspProcess> BspProcess for BspTenantProc<P> {
                 e
             })
             .collect();
+        let mut outbox = Vec::new();
         let mut vctx = SuperstepCtx::new(
             ProcId((ctx.me().0 as usize - self.base) as u32),
             self.vp,
             ctx.superstep_index(),
             &mut inbox,
+            &mut outbox,
         );
         let status = self.inner.superstep(&mut vctx);
-        let (w, outbox, _) = vctx.finish();
+        let (w, _) = vctx.finish();
         // Re-sending below re-charges one unit per message; subtract it
         // from the inner work so the tenant's w is not double-counted.
         ctx.charge(w.saturating_sub(outbox.len() as u64));

@@ -280,18 +280,10 @@ impl Instruments {
         }
     }
 
-    /// Allocate the next run-unique message id.
-    #[inline]
-    pub fn alloc_msg_id(&mut self) -> MsgId {
-        let id = MsgId(self.next_msg_id);
-        self.next_msg_id += 1;
-        id
-    }
-
-    /// Reserve `n` consecutive ids at once, returning the first. Engines
-    /// that fan a batch out across worker shards use this with per-item
-    /// prefix sums so every item gets the id a sequential
-    /// [`Instruments::alloc_msg_id`] loop would have handed it.
+    /// Reserve `n` consecutive run-unique message ids, returning the
+    /// first. An engine reserves one block per batch of messages and gives
+    /// each message the id at its position in the batch's delivery order,
+    /// so ids do not depend on how the batch is fanned out.
     #[inline]
     pub fn alloc_msg_id_block(&mut self, n: u64) -> MsgId {
         let id = MsgId(self.next_msg_id);
@@ -449,8 +441,10 @@ mod tests {
     #[test]
     fn msg_ids_are_sequential() {
         let mut ins = Instruments::disabled();
-        assert_eq!(ins.alloc_msg_id(), MsgId(0));
-        assert_eq!(ins.alloc_msg_id(), MsgId(1));
+        assert_eq!(ins.alloc_msg_id_block(1), MsgId(0));
+        assert_eq!(ins.alloc_msg_id_block(3), MsgId(1));
+        assert_eq!(ins.alloc_msg_id_block(0), MsgId(4));
+        assert_eq!(ins.alloc_msg_id_block(1), MsgId(4));
     }
 
     #[test]

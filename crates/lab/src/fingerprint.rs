@@ -52,9 +52,17 @@ impl Digest {
         Digest(a, b)
     }
 
-    /// The 32-hex-digit string form (the on-disk key).
+    /// The 32-hex-digit string form (the on-disk key): each lane's 16
+    /// nibbles, most significant first, looked up in a digit table.
     pub fn hex(&self) -> String {
-        format!("{:016x}{:016x}", self.0, self.1)
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        let mut out = String::with_capacity(32);
+        for lane in [self.0, self.1] {
+            for shift in (0..64).step_by(4).rev() {
+                out.push(char::from(HEX[(lane >> shift) as usize & 0xf]));
+            }
+        }
+        out
     }
 }
 
@@ -124,12 +132,12 @@ pub fn cell_key(
     opts_canonical: &str,
     plan: Option<&str>,
 ) -> String {
-    let index = index.to_string();
+    let mut digits = [0u8; 20];
     Digest::of(&[
         ("code", code.as_str()),
         ("exp", exp),
         ("domain", domain),
-        ("index", &index),
+        ("index", decimal(index, &mut digits)),
         ("params", params),
         ("opts", opts_canonical),
         ("plan", plan.unwrap_or("\u{1}none")),
@@ -137,9 +145,53 @@ pub fn cell_key(
     .hex()
 }
 
+/// `n` in decimal, written at the end of `buf` (20 digits hold any
+/// 64-bit value): the bytes `n.to_string()` holds, without allocating.
+fn decimal(mut n: usize, buf: &mut [u8; 20]) -> &str {
+    let mut start = buf.len();
+    loop {
+        start -= 1;
+        buf[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    std::str::from_utf8(&buf[start..]).expect("ASCII digits")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn hex_matches_the_formatter(a in 0..=u64::MAX, b in 0..=u64::MAX, shift in 0u32..64) {
+            // Shifted lanes have leading zero nibbles.
+            for (a, b) in [(a, b), (a >> shift, b >> (63 - shift))] {
+                prop_assert_eq!(Digest(a, b).hex(), format!("{a:016x}{b:016x}"));
+            }
+        }
+
+        #[test]
+        fn decimal_matches_to_string(n in 0..=usize::MAX, shift in 0u32..64) {
+            for n in [n, n >> shift] {
+                let mut buf = [0; 20];
+                prop_assert_eq!(decimal(n, &mut buf), n.to_string());
+            }
+        }
+    }
+
+    #[test]
+    fn hex_and_decimal_edges() {
+        assert_eq!(Digest(0, u64::MAX).hex(), format!("{:016x}{:016x}", 0, u64::MAX));
+        assert_eq!(Digest(1 << 63, 0xf).hex(), format!("{:016x}{:016x}", 1u64 << 63, 0xf));
+        for n in [0, 9, 10, 99, 100, usize::MAX] {
+            assert_eq!(decimal(n, &mut [0; 20]), n.to_string());
+        }
+    }
 
     #[test]
     fn digest_is_stable_across_processes() {

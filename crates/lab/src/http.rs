@@ -47,7 +47,7 @@
 //!   [`ScenarioRunner`]. Exactly one of the two fields must be present.
 
 use crate::epoll::{Epoll, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-use crate::jsonio::{encode_rows_into, escape, escape_into, Cursor};
+use crate::jsonio::{clip, encode_rows_into, escape, escape_into, Cursor};
 use crate::scheduler::{run_grid, CellSpec, GridReport, GridSpec, Job};
 use crate::shard::ShardedStore;
 use bvl_obs::{Counter, Hist, Registry, Tier};
@@ -878,7 +878,8 @@ fn run_response(service: &Service, req: &RunRequest) -> (&'static str, String) {
         None => (
             "400 Bad Request",
             err_body(&format!(
-                "unknown experiment '{exp}' (registered: {})",
+                "unknown experiment '{}' (registered: {})",
+                clip(exp),
                 service.names().join(", ")
             )),
         ),
@@ -924,10 +925,10 @@ fn parse_run_body(body: &str) -> Result<RunRequest, String> {
             "tier" => {
                 let label = cur.string()?;
                 tier = Some(
-                    Tier::parse(&label).ok_or_else(|| format!("unknown tier '{label}'"))?,
+                    Tier::parse(&label).ok_or_else(|| format!("unknown tier '{}'", clip(&label)))?,
                 );
             }
-            other => return Err(format!("unknown field '{other}'")),
+            other => return Err(format!("unknown field '{}'", clip(other))),
         }
         if !cur.eat(b',') {
             break;

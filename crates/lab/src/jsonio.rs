@@ -70,6 +70,40 @@ pub(crate) fn encode_rows_into(out: &mut String, rows: &[Vec<String>]) {
     out.push(']');
 }
 
+/// Bytes of input an error message quotes on each side of its offset (and
+/// of a quoted name): errors go back to clients, so they must not grow with
+/// what the client sent.
+const QUOTE_BYTES: usize = 32;
+
+/// At most [`QUOTE_BYTES`] bytes of `text` on each side of byte `pos`, cut
+/// on char boundaries, with `…` marking each cut: the context an error
+/// message quotes.
+pub(crate) fn excerpt(text: &str, pos: usize) -> String {
+    let mut start = pos.saturating_sub(QUOTE_BYTES).min(text.len());
+    while !text.is_char_boundary(start) {
+        start += 1;
+    }
+    let mut end = pos.saturating_add(QUOTE_BYTES).min(text.len());
+    while !text.is_char_boundary(end) {
+        end -= 1;
+    }
+    let mut out = String::with_capacity(end - start + 6);
+    if start > 0 {
+        out.push('…');
+    }
+    out.push_str(&text[start..end]);
+    if end < text.len() {
+        out.push('…');
+    }
+    out
+}
+
+/// `name` cut to at most [`QUOTE_BYTES`] bytes on a char boundary, with
+/// `…` marking a cut: how an error message quotes a client-chosen name.
+pub(crate) fn clip(name: &str) -> String {
+    excerpt(name, 0)
+}
+
 /// A single-pass cursor over a JSON text slice.
 pub struct Cursor<'a> {
     text: &'a str,
@@ -105,8 +139,10 @@ impl<'a> Cursor<'a> {
             Ok(())
         } else {
             Err(format!(
-                "expected '{}' at byte {} of: {}",
-                b as char, self.pos, self.text
+                "expected '{}' at byte {} near: {}",
+                b as char,
+                self.pos,
+                excerpt(self.text, self.pos)
             ))
         }
     }
@@ -200,7 +236,11 @@ impl<'a> Cursor<'a> {
                 return Ok(val);
             }
         }
-        Err(format!("expected boolean at byte {} of: {}", self.pos, self.text))
+        Err(format!(
+            "expected boolean at byte {} near: {}",
+            self.pos,
+            excerpt(self.text, self.pos)
+        ))
     }
 
     /// Parse a JSON array of arrays of strings (the payload shape).
@@ -455,5 +495,38 @@ mod tests {
         assert!(decode_rows("[[\"a\"]]x").is_err());
         assert!(decode_rows("{\"not\":\"rows\"}").is_err());
         assert!(decode_rows("[[\"bad \\u escape\\uZZZZ\"]]").is_err());
+    }
+
+    #[test]
+    fn errors_quote_a_short_excerpt_of_long_input() {
+        // A ~100 kB object whose closing brace is missing, with two- and
+        // three-byte characters around every possible cut.
+        let text = format!("{{\"k\":\"{}\"", "é日".repeat(20_000));
+        let mut cur = Cursor::new(&text);
+        cur.expect(b'{').unwrap();
+        cur.string().unwrap();
+        cur.expect(b':').unwrap();
+        cur.string().unwrap();
+        let err = cur.expect(b'}').unwrap_err();
+        assert!(err.starts_with(&format!("expected '}}' at byte {} near: …", text.len())));
+        assert!(err.len() < 128, "{} bytes: {err}", err.len());
+        let err = Cursor::new(&"日".repeat(30_000)).boolean().unwrap_err();
+        assert!(err.ends_with("…") && err.len() < 128, "{err}");
+        assert_eq!(clip("short"), "short");
+        assert_eq!(clip(&"x".repeat(40)), format!("{}…", "x".repeat(32)));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn excerpt_is_short_whole_and_in_place(s in hostile_string(64), pos in 0usize..300) {
+            let ex = excerpt(&s, pos);
+            let body = ex.trim_start_matches('…').trim_end_matches('…');
+            prop_assert!(body.len() <= 2 * QUOTE_BYTES);
+            prop_assert!(s.contains(body));
+            if s.len() <= QUOTE_BYTES && pos <= QUOTE_BYTES {
+                prop_assert_eq!(&ex, &s);
+            }
+        }
     }
 }

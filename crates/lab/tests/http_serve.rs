@@ -331,3 +331,43 @@ fn bare_lf_head_with_crlf_in_the_body_is_answered() {
     server.stop();
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Malformed `POST /run` bodies of ~100 kB draw a short 400: the error
+/// quotes at most a short excerpt of what the client sent, cut on a char
+/// boundary, and never echoes the body back.
+#[test]
+fn oversized_malformed_run_bodies_draw_short_errors() {
+    let dir = tmpdir("oversized");
+    let code = CodeFingerprint::from_parts("http-test-api", "0");
+    let store = ShardedStore::open(&dir, 1, code, OnStale::Error).unwrap();
+    let service = Arc::new(Service::new(store, Registry::disabled(), vec![Box::new(Square)]));
+    let server = serve("127.0.0.1:0", Arc::clone(&service), 2).unwrap();
+    let addr = server.addr();
+
+    // A scenario of three-byte characters whose closing brace is broken:
+    // the excerpt's left cut falls inside a character.
+    let text = "日".repeat(34_000);
+    let broken = format!("{{\"scenario\":\"{text}\"]");
+    let at = broken.len() - 1;
+    assert!(!broken.is_char_boundary(at - 32), "the cut must land mid-character");
+    let long = "f".repeat(100_000);
+    let bodies = [
+        broken,
+        format!("{{\"{long}\":1}}"),
+        format!("{{\"exp\":\"square\",\"tier\":\"{long}\"}}"),
+        format!("{{\"exp\":\"{long}\"}}"),
+        format!("{{\"exp\":\"square\",\"smoke\":{long}}}"),
+    ];
+    for body in &bodies {
+        assert!(body.len() > 100_000);
+        let (status, reply) = request(addr, "POST", "/run", body);
+        assert_eq!(status, "400", "{}", &reply[..reply.len().min(200)]);
+        assert!(reply.len() < 1024, "a {}-byte reply to a {}-byte body", reply.len(), body.len());
+        assert!(reply.contains("\"error\""), "{reply}");
+    }
+    // The service is still up.
+    assert_eq!(request(addr, "GET", "/status", "").0, "200");
+
+    server.stop();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
