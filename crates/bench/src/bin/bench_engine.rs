@@ -12,10 +12,10 @@
 //!   a spilled one. The spill path is the old representation (every payload
 //!   heap-allocated a `Vec`), so this is the message-layer before/after.
 //! * **sweep** — the `exp_table1`-style topology measurement job set run
-//!   through the sweep harness on a 1-thread rayon pool and on a pool sized
-//!   to the host. On a single-core host the parallel leg is skipped with a
-//!   notice (a parallel sweep cannot speed up there; pretending to measure
-//!   one reports noise as a slowdown).
+//!   as one uncached `bvl_lab::run_grid` grid on a 1-thread rayon pool and
+//!   on a pool sized to the host. On a single-core host the parallel leg is
+//!   skipped with a notice (a parallel sweep cannot speed up there;
+//!   pretending to measure one reports noise as a slowdown).
 //! * **scaling** — the sharded engine's growth curve: single-shard wall
 //!   time of a fixed-rounds ring versus machine size `p` from 64 to 10⁶ by
 //!   decades, plus shards-vs-speedup rows at `p = 10⁵` (skipped with a
@@ -37,12 +37,13 @@
 //! `event_queue` micro-bench writes one), its measurements are embedded
 //! under `"criterion"`.
 
-use bvl_bench::sweep::sweep;
+use bvl_lab::{run_grid, CellSpec, GridSpec};
 use bvl_logp::{
     LogpConfig, LogpMachine, LogpParams, LogpProcess, Op, ProcView, Script, TimelineKind,
 };
 use bvl_model::{Payload, ProcId, INLINE_WORDS};
 use bvl_net::{measure_parameters, Hypercube, MeshOfTrees, RouterConfig, Topology};
+use bvl_obs::Registry;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -203,14 +204,21 @@ fn sweep_jobs() -> Vec<(&'static str, u32)> {
 }
 
 fn run_sweep() -> f64 {
-    let rep = sweep("bench-engine", 11, sweep_jobs(), |(kind, k), _job| {
+    let jobs = sweep_jobs();
+    let mut grid = GridSpec::new("bench-engine", 11);
+    for (i, (kind, k)) in jobs.iter().enumerate() {
+        grid = grid.cell(CellSpec::new("bench-engine", i, format!("{kind}({k})")));
+    }
+    let rep = run_grid(&grid, None, &Registry::disabled(), |cell, _job| {
+        let (kind, k) = jobs[cell.index];
         let topo: Box<dyn Topology> = match kind {
             "hypercube" => Box::new(Hypercube::new(k)),
             _ => Box::new(MeshOfTrees::new(1usize << (k / 2))),
         };
         let m = measure_parameters(&*topo, &[1, 2, 4, 8], 2, 5, RouterConfig::default());
-        m.gamma
-    });
+        vec![vec![m.gamma.to_string()]]
+    })
+    .expect("an uncached grid does no I/O");
     rep.elapsed.as_secs_f64() * 1e3
 }
 

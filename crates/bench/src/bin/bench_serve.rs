@@ -32,7 +32,7 @@
 //! cargo run --release -p bvl-bench --bin bench_serve [-- --smoke]
 //! ```
 
-use bvl_bench::{labexp, scn};
+use bvl_bench::scn;
 use bvl_lab::{serve, store_digest, sync_store, CodeFingerprint, OnStale, Service, ShardedStore};
 use bvl_obs::Registry;
 use rand::{Rng, SeedableRng};
@@ -506,7 +506,7 @@ fn main() {
     let store = ShardedStore::open(&dir, SHARDS, CodeFingerprint::current(), OnStale::Invalidate)
         .expect("open store");
     let service = std::sync::Arc::new(
-        Service::new(store, Registry::enabled(1), labexp::experiments())
+        Service::new(store, Registry::enabled(1), scn::experiments())
             .with_scenario_runner(Box::new(scn::Runner)),
     );
     let server = serve("127.0.0.1:0", std::sync::Arc::clone(&service), WORKERS).expect("bind");

@@ -40,7 +40,7 @@ fn main() {
     let curve_ok = if smoke {
         true
     } else {
-        let pstar = labexp::bsf::base().optimal_workers();
+        let pstar = num(&rows[0], 6);
         let at = |i: usize| num(&rows[i], 3);
         let dip = (0..rows.len())
             .min_by(|&a, &b| at(a).total_cmp(&at(b)))

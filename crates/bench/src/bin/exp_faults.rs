@@ -65,7 +65,7 @@ fn main() {
     // clean >= the route latency floor) before printing.
     let lab = labexp::Lab::from_env();
     let scenario = scn::compiled("faults", smoke);
-    let case_count = faults::cases(smoke).len();
+    let case_count = scenario.grids[0].spec.cells.len();
     let (rep, _) = scn::run_in_lab(&lab, &scenario.grids[0], None);
     eprintln!("[sweep] faults: {}", rep.summary());
     let (rows, repros, checks) = faults::fold(rep);

@@ -17,8 +17,8 @@
 //!    (Theorem 1). The measured slowdown is compared against the theorem's
 //!    `1 + g/Ĝ + ℓ/L̂` bound evaluated at the measured parameters.
 //!
-//! The tower lives in [`bvl_bench::labexp::stack`]; the grid is compiled
-//! from `scenarios/stack.scn` and runs through the `bvl-lab` scheduler
+//! The tower lives in [`bvl_bench::labexp::stack`]; the grid is declared
+//! only in `scenarios/stack.scn` and runs through the `bvl-lab` scheduler
 //! (cached when `BVL_LAB_DIR` is set; the butterfly cell is forced so its
 //! registry carries real spans for `--trace-out`). One `SUMMARY` line per
 //! topology, rebuilt from the cached row so warm and cold runs are

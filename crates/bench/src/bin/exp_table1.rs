@@ -8,12 +8,12 @@
 //! by measuring the 1-relation (ℓ-like) and saturation (g-like) regimes.
 //!
 //! The grids are compiled from `scenarios/table1.scn` (the declarative
-//! scenario plane; `lab validate` proves the document lowers to the same
-//! grids as [`bvl_bench::labexp::table1`], bit for bit) and run through
-//! the `bvl-lab` scheduler: uncached by default (identical to the old
-//! sweep path), incremental against the persistent result store when
-//! `BVL_LAB_DIR` is set — this binary is the repo's heaviest, and a warm
-//! store turns a full regeneration into a cache read. Stdout is
+//! scenario plane; `lab validate` checks the lowering against its recorded
+//! digests, and the rows come from [`bvl_bench::labexp::table1`]) and run
+//! through the `bvl-lab` scheduler: uncached by default, incremental
+//! against the persistent result store when `BVL_LAB_DIR` is set — this
+//! binary is the repo's heaviest, and a warm store turns a full
+//! regeneration into a cache read. Stdout is
 //! bit-identical either way; cache statistics go to stderr, and every
 //! completed grid passes the lower-bound audit before printing.
 

@@ -7,9 +7,10 @@
 //! constants) the `1 + g/G + ℓ/L` bound, and be flat along the matched
 //! diagonal — the paper's "substantial equivalence" claim.
 //!
-//! The grids are compiled from `scenarios/thm1.scn` (validated against
-//! [`bvl_bench::labexp::thm1`] bit for bit) and run through the `bvl-lab`
-//! scheduler (cached when `BVL_LAB_DIR` is set). The flagged attribution
+//! The grids are compiled from `scenarios/thm1.scn` (their lowering is
+//! pinned by `lab validate`'s recorded digests; the rows come from
+//! [`bvl_bench::labexp::thm1`]) and run through the `bvl-lab` scheduler
+//! (cached when `BVL_LAB_DIR` is set). The flagged attribution
 //! cell is *forced*: it recomputes live on every run, because its enabled
 //! registry feeds the cost-attribution SUMMARY and the optional
 //! `--trace-out` export. Completed grids pass the Theorem 1 lower-bound
@@ -27,7 +28,7 @@ fn main() {
     // Cell 0 (ring, matched 1x/1x parameters) is the flagged cell: it runs
     // with this enabled registry, feeding the cost-attribution summary and
     // the optional `--trace-out` export; every other cell pays nothing.
-    let captured = obs::capture_registry("exp_thm1", 0, thm1::reference_params().p);
+    let captured = obs::capture_registry("exp_thm1", 0, thm1::FLAGGED_P);
     let (rep, att) = scn::run_in_lab(&lab, &scenario.grids[0], Some(&captured));
     eprintln!("[sweep] thm1-scalings: {}", rep.summary());
     print_table(

@@ -7,9 +7,10 @@
 //! `O(log p)` for small h and flattens towards `O(1)` as `h` grows — the
 //! crossover the `S` column exhibits.
 //!
-//! The grids are compiled from `scenarios/thm2.scn` (validated against
-//! [`bvl_bench::labexp::thm2`] bit for bit) and run through the `bvl-lab`
-//! scheduler (cached when `BVL_LAB_DIR` is set). The two span-exporting
+//! The grids are compiled from `scenarios/thm2.scn` (their lowering is
+//! pinned by `lab validate`'s recorded digests; the rows come from
+//! [`bvl_bench::labexp::thm2`]) and run through the `bvl-lab` scheduler
+//! (cached when `BVL_LAB_DIR` is set). The two span-exporting
 //! cells — the `(16, 8)` phase breakdown and the deterministic strategy —
 //! are *forced*: they recompute live so their registries carry real spans
 //! for the SUMMARY line and `--trace-out`. Completed grids pass the

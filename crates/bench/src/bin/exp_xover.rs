@@ -8,24 +8,36 @@
 //! left but keeps its shape: constant-round Columnsort wins for large r.
 //!
 //! Each r is routed independently (all three schemes against the same
-//! h-relation), so the rows fan out through the [`bvl_bench::sweep`]
-//! harness with per-job RNG streams.
+//! h-relation), so the rows run as one uncached [`bvl_lab::run_grid`]
+//! grid, one cell per r, each with its own `(master, domain, index)` RNG
+//! stream.
 
-use bvl_bench::sweep::sweep;
+use bvl_bench::labexp::single_rows;
 use bvl_bench::{banner, f2, obs, print_table};
 use bvl_core::bsp_on_logp::sortnet::{aks_cost_formula, bitonic_cost_formula};
 use bvl_core::{route_deterministic, SortScheme};
 use bvl_exec::RunOptions;
+use bvl_lab::{run_grid, CellSpec, GridSpec};
 use bvl_logp::LogpParams;
 use bvl_model::rngutil::SeedStream;
 use bvl_model::HRelation;
+use bvl_obs::Registry;
 
 fn main() {
     banner("Sorting-phase cost vs r (p = 8, L = 16, o = 1, G = 2)");
     let p = 8usize;
     let params = LogpParams::new(p, 16, 1, 2).unwrap();
-    let hs = vec![2usize, 8, 32, 98, 196, 392];
-    let rep = sweep("xover", 77, hs, move |h, mut job| {
+    let hs = [2usize, 8, 32, 98, 196, 392];
+    let mut grid = GridSpec::new("xover", 77);
+    // Cells inherit the process-wide `--shards` and `--obs-tier` flags.
+    grid.opts = RunOptions::new()
+        .shards(bvl_obs::cli::shards())
+        .obs(bvl_obs::cli::obs_tier());
+    for (i, h) in hs.iter().enumerate() {
+        grid = grid.cell(CellSpec::new("xover", i, format!("h={h}")));
+    }
+    let rep = run_grid(&grid, None, &Registry::disabled(), |cell, mut job| {
+        let h = hs[cell.index];
         let rel = HRelation::random_exact(&mut job.rng, p, h);
         let opts = job.opts.seed(3);
         let net = route_deterministic(params, &rel, SortScheme::Network, &opts).expect("net");
@@ -36,7 +48,7 @@ fn main() {
         } else {
             None
         };
-        vec![
+        vec![vec![
             format!("{h}"),
             format!("{}", net.t_sort.get()),
             format!("{}", oe.t_sort.get()),
@@ -48,8 +60,9 @@ fn main() {
             cs.as_ref()
                 .map(|c| f2(net.t_sort.get() as f64 / c.t_sort.get() as f64))
                 .unwrap_or_else(|| "-".into()),
-        ]
-    });
+        ]]
+    })
+    .expect("an uncached grid does no I/O");
     eprintln!("[sweep] xover: {}", rep.summary());
     print_table(
         &[
@@ -61,7 +74,7 @@ fn main() {
             "AKS formula",
             "net/cs",
         ],
-        &rep.results,
+        &single_rows(rep),
     );
     println!();
     println!("(crossover: once Columnsort is valid (r >= 2(p-1)^2 = 98 here) its");

@@ -3,8 +3,8 @@
 //! ```sh
 //! lab run <exp|all> [--smoke]   # run grids through the store (incremental)
 //! lab run --scenario F [--smoke] # run a scenario document as data
-//! lab validate                  # shipped .scn == legacy grids, bit for bit
-//! lab emit <name>               # print the reference scenario document
+//! lab validate                  # shipped .scn lowerings == recorded digests
+//! lab emit <name>               # print a shipped scenario document
 //! lab audit [--bench F]         # lower-bound audit over exported results
 //! lab status                    # store summary: cells, segments, staleness
 //! lab query <exp>               # dump an experiment's cached cells
@@ -20,11 +20,10 @@
 //! (and therefore the cache keys) are shared via `bvl_bench::scn`, which
 //! compiles the checked-in `scenarios/*.scn` documents.
 
-use bvl_bench::{labexp, print_table, scn};
+use bvl_bench::{print_table, scn};
 use bvl_lab::jsonio::Cursor;
 use bvl_lab::{serve, shard_count_of, CodeFingerprint, OnStale, Service, ShardedStore};
 use bvl_obs::Registry;
-use bvl_scenario::grid_digest;
 use std::path::{Path, PathBuf};
 use std::process::exit;
 use std::sync::Arc;
@@ -35,8 +34,8 @@ fn usage() -> ! {
          \n\
          lab run <exp|all> [--smoke] [--dir D]   incremental grid run\n\
          lab run --scenario F [--smoke] [--dir D] run a scenario document\n\
-         lab validate                            shipped scenarios vs legacy grids\n\
-         lab emit <name>                         print the reference scenario text\n\
+         lab validate                            shipped scenarios vs recorded digests\n\
+         lab emit <name>                         print a shipped scenario's text\n\
          lab audit [--bench F]                   audit a BENCH_*.json export: the\n\
                                                  faults conformance lower bounds, or\n\
                                                  any file's acceptance block per-gate\n\
@@ -50,7 +49,7 @@ fn usage() -> ! {
          whatever the store records; 1 for a fresh flat store)\n\
          \n\
          experiments: {}",
-        labexp::experiments()
+        scn::experiments()
             .iter()
             .map(|e| e.name().to_string())
             .collect::<Vec<_>>()
@@ -120,7 +119,7 @@ fn open(dir: &Path, shards: usize, on_stale: OnStale) -> ShardedStore {
 }
 
 fn service(store: ShardedStore) -> Service {
-    Service::new(store, Registry::enabled(1), labexp::experiments())
+    Service::new(store, Registry::enabled(1), scn::experiments())
         .with_scenario_runner(Box::new(scn::Runner))
 }
 
@@ -422,51 +421,41 @@ fn main() {
             );
         }
         "validate" => {
-            // Prove the checked-in scenario documents against the legacy
-            // code-defined grids: same documents as the reference
-            // builders, and bit-identical compiled grids (exp, master,
-            // canonical options, cells and store keys) in both modes.
+            // Check every shipped scenario's lowering, full and smoke,
+            // against its recorded digest: exp, master, canonical options,
+            // cells, store keys and force flags, bit for bit.
             let mut rows = Vec::new();
             let mut bad = 0usize;
-            for (name, _) in scn::SHIPPED {
-                if scn::doc(name) != scn::reference(name) {
-                    rows.push(vec![name.into(), "-".into(), "-".into(), "DOC DRIFT".into()]);
+            for (name, smoke, want) in scn::RECORDED_DIGESTS {
+                let compiled = scn::compiled(name, smoke);
+                let ok = scn::digest_of(&compiled) == want;
+                if !ok {
                     bad += 1;
-                    continue;
                 }
-                for smoke in [false, true] {
-                    let mode = if smoke { "smoke" } else { "full" };
-                    let compiled = scn::compiled(name, smoke);
-                    let legacy = scn::legacy_grids(name, smoke).expect("shipped name");
-                    let cells: usize = compiled.grids.iter().map(|g| g.spec.cells.len()).sum();
-                    let ok = compiled.grids.len() == legacy.len()
-                        && compiled
-                            .grids
-                            .iter()
-                            .zip(&legacy)
-                            .all(|(cg, lg)| grid_digest(&cg.spec) == grid_digest(lg));
-                    if !ok {
-                        bad += 1;
-                    }
-                    rows.push(vec![
-                        name.into(),
-                        mode.into(),
-                        format!("{} grid(s), {cells} cell(s)", compiled.grids.len()),
-                        if ok { "ok".into() } else { "DIGEST MISMATCH".into() },
-                    ]);
-                }
+                rows.push(vec![
+                    name.into(),
+                    if smoke { "smoke" } else { "full" }.into(),
+                    format!("{} grid(s), {} cell(s)", compiled.grids.len(), compiled.cells()),
+                    if ok { "ok".into() } else { "DIGEST MISMATCH".into() },
+                ]);
             }
             print_table(&["scenario", "mode", "compiled", "status"], &rows);
             if bad > 0 {
-                eprintln!("lab: {bad} scenario lowering(s) diverge from the legacy grids");
+                eprintln!("lab: {bad} scenario lowering(s) diverge from their recorded digests");
                 exit(1);
             }
         }
         "emit" => {
-            let Some(name) = args.first().cloned() else {
+            let Some(name) = args.first() else {
                 usage();
             };
-            print!("{}", scn::reference(&name).to_text());
+            match scn::shipped(name) {
+                Some(text) => print!("{text}"),
+                None => {
+                    eprintln!("lab: unknown shipped scenario '{name}'");
+                    exit(2);
+                }
+            }
         }
         "audit" => {
             let path = take_flag(&mut args, "--bench").unwrap_or_else(|| "BENCH_faults.json".into());

@@ -1,22 +1,22 @@
-//! Lab grid definitions shared by the `exp_*` binaries, the `lab` CLI and
-//! the HTTP service.
+//! The row builders behind every shipped experiment, and the caching
+//! context the `exp_*` binaries run grids in.
 //!
-//! Each experiment binary used to own its configuration lists inline; the
-//! `bvl-lab` result store keys cells by `(experiment, domain, index,
-//! params, options, plan)`, so every front end that wants to share the
-//! cache must build **the same grids**. This module is that single
-//! definition: the binaries drive the grids through [`Lab`] (caching is
-//! opt-in via `BVL_LAB_DIR`), while [`experiments`] packages the same
-//! grids behind the [`bvl_lab::Experiment`] trait for `lab run`/`serve`.
+//! Each experiment is declared once, as a `scenarios/*.scn` document that
+//! [`crate::scn`] compiles into `bvl_lab` grids, and every grid runs one
+//! way, through [`bvl_lab::run_grid`]. This module holds what a cell
+//! computes: one row builder per work kind (`measure_row`, `run_case`,
+//! `route_row`, `case_rows`, `stack_row`, `sort_row`, `stream_row`,
+//! `bsf_row`, …), which [`crate::scn::run_work`] dispatches to, plus the
+//! binaries' [`Lab`] and the report-folding helpers.
 //!
-//! Two invariants carried over from `bvl_bench::sweep`:
+//! Two invariants every builder keeps:
 //!
 //! * **Determinism** — cell bodies draw only from [`Job::rng`] (derived
 //!   from `(master, domain, index)`) or from constants, so a cell computes
 //!   identical rows cold, warm, resumed, or at any `RAYON_NUM_THREADS`.
 //! * **Flagged cells stay live** — cells that feed an enabled
 //!   observability registry (cost attribution, span export) are marked
-//!   [`CellSpec::forced`]: they recompute on every run and are never
+//!   `force` in their scenario: they recompute on every run and are never
 //!   stored, because their side effects (spans) are the point.
 
 use crate::f2;
@@ -28,8 +28,7 @@ use bvl_core::{
 };
 use bvl_exec::RunOptions;
 use bvl_lab::{
-    run_grid, CellSpec, CodeFingerprint, Experiment, GridReport, GridSpec, Job, OnStale,
-    ShardedStore,
+    run_grid, CellSpec, CodeFingerprint, GridReport, GridSpec, Job, OnStale, ShardedStore,
 };
 use bvl_logp::{LogpConfig, LogpMachine, LogpParams, LogpProcess, Op, ProcView, Script};
 use bvl_model::{HRelation, Payload, ProcId};
@@ -141,19 +140,14 @@ pub fn flat_rows(rep: GridReport) -> Vec<Vec<String>> {
 }
 
 pub mod table1 {
-    //! E-T1 / E-NETEQ grids (Table 1, the scaling check, Observation 1,
+    //! E-T1 / E-NETEQ rows (Table 1, the scaling check, Observation 1,
     //! and the span-exporting hypercube-k6 cell).
 
     use super::*;
     use bvl_net::{Family, PortMode};
     use bvl_model::Steps;
     use bvl_obs::{Span, SpanKind};
-
-    // The topology vocabulary (tags, construction, measurement) moved to
-    // `bvl-scenario` so `.scn` files and these grids share one definition;
-    // re-exported here because the binaries and tests reach it as
-    // `labexp::table1::{measure, Net}`.
-    pub use bvl_scenario::{measure, Net};
+    use bvl_scenario::{measure, Net};
 
     /// One Table 1 measured-vs-predicted row.
     pub fn measure_row(net: Net, family: Family, mode: PortMode, seed: u64) -> Vec<String> {
@@ -228,119 +222,6 @@ pub mod table1 {
         rows
     }
 
-    pub(crate) fn main_configs() -> Vec<(Net, Family, PortMode)> {
-        vec![
-            (Net::Array2d(16), Family::ArrayD(2), PortMode::Multi), // p = 256
-            (Net::Array3d(6), Family::ArrayD(3), PortMode::Multi),  // p = 216
-            (Net::Hypercube(8), Family::HypercubeMulti, PortMode::Multi), // p = 256
-            (Net::Hypercube(8), Family::HypercubeSingle, PortMode::Single),
-            (Net::Butterfly(5), Family::Butterfly, PortMode::Multi), // p = 192
-            (Net::Ccc(5), Family::Ccc, PortMode::Multi),             // p = 160
-            (Net::ShuffleExchange(8), Family::ShuffleExchange, PortMode::Multi), // p = 256
-            (Net::MeshOfTrees(16), Family::MeshOfTrees, PortMode::Multi), // p = 256
-        ]
-    }
-
-    pub(crate) fn scaling_configs() -> Vec<(Net, Family, &'static str)> {
-        vec![
-            (Net::Hypercube(4), Family::HypercubeMulti, "hypercube (multi)"),
-            (Net::Hypercube(6), Family::HypercubeMulti, "hypercube (multi)"),
-            (Net::Hypercube(8), Family::HypercubeMulti, "hypercube (multi)"),
-            (Net::MeshOfTrees(4), Family::MeshOfTrees, "mesh-of-trees"),
-            (Net::MeshOfTrees(8), Family::MeshOfTrees, "mesh-of-trees"),
-            (Net::MeshOfTrees(16), Family::MeshOfTrees, "mesh-of-trees"),
-        ]
-    }
-
-    pub(crate) fn obs1_configs() -> Vec<(Net, &'static str)> {
-        vec![
-            (Net::Hypercube(8), "hypercube(256)"),
-            (Net::Array2d(16), "2d-array(256)"),
-            (Net::MeshOfTrees(16), "mesh-of-trees(256)"),
-        ]
-    }
-
-    /// The Table 1 grid (one cell per topology row).
-    pub fn main_grid() -> GridSpec {
-        let mut g = GridSpec::new("table1", 42);
-        for (i, (net, family, mode)) in main_configs().into_iter().enumerate() {
-            let mode = match mode {
-                PortMode::Multi => "multi",
-                PortMode::Single => "single",
-            };
-            g = g.cell(CellSpec::new(
-                "table1",
-                i,
-                format!("{} {} {mode}", family.label(), net.tag()),
-            ));
-        }
-        g
-    }
-
-    /// The gamma-ratio scaling check (hypercube vs mesh-of-trees ladder).
-    pub fn scaling_grid() -> GridSpec {
-        let mut g = GridSpec::new("table1", 7);
-        for (i, (net, _, label)) in scaling_configs().into_iter().enumerate() {
-            g = g.cell(CellSpec::new(
-                "table1-scaling",
-                i,
-                format!("{label} {}", net.tag()),
-            ));
-        }
-        g
-    }
-
-    /// Observation 1: best-attainable LogP vs BSP on the same network.
-    pub fn obs1_grid() -> GridSpec {
-        let mut g = GridSpec::new("table1", 9);
-        for (i, (_, name)) in obs1_configs().into_iter().enumerate() {
-            g = g.cell(CellSpec::new("table1-obs1", i, name));
-        }
-        g
-    }
-
-    /// The hypercube-k6 cell whose per-h routing samples become spans.
-    /// Cacheable (not forced): the payload carries the raw samples, so the
-    /// span timeline and the SUMMARY line rebuild bit-identically from a
-    /// warm hit via [`k6_registry`].
-    pub fn k6_grid() -> GridSpec {
-        GridSpec::new("table1", 11).cell(CellSpec::new("table1-k6", 0, "hypercube(6) multi"))
-    }
-
-    /// All grids of the `table1` experiment. Smoke keeps the small nets:
-    /// the hypercube(4)/mesh-of-trees(4) scaling cells (their indexes and
-    /// params match the full grid, so smoke and full share cache keys) and
-    /// the k6 cell.
-    pub fn grids(smoke: bool) -> Vec<GridSpec> {
-        if smoke {
-            let mut scaling = scaling_grid();
-            scaling.cells.retain(|c| c.index == 0 || c.index == 3);
-            vec![scaling, k6_grid()]
-        } else {
-            vec![main_grid(), scaling_grid(), obs1_grid(), k6_grid()]
-        }
-    }
-
-    /// Compute one `table1` cell (dispatch on the cell's domain).
-    pub fn run_cell(cell: &CellSpec, _job: Job) -> Vec<Vec<String>> {
-        match cell.domain.as_str() {
-            "table1" => {
-                let (net, family, mode) = main_configs()[cell.index];
-                vec![measure_row(net, family, mode, 42)]
-            }
-            "table1-scaling" => {
-                let (net, family, label) = scaling_configs()[cell.index];
-                vec![scaling_row(net, family, label, 7)]
-            }
-            "table1-obs1" => {
-                let (net, name) = obs1_configs()[cell.index];
-                vec![obs1_row(net, name, 9)]
-            }
-            "table1-k6" => k6_rows(Net::Hypercube(6), "hypercube_k6", 11),
-            other => panic!("unknown table1 domain '{other}'"),
-        }
-    }
-
     /// Rebuild the k6 cell's span timeline from its payload rows:
     /// back-to-back `Routing` spans, one per (h, T(h)) sample. The rebuilt
     /// registry records at the process-wide `--obs-tier`, like any live
@@ -361,7 +242,7 @@ pub mod table1 {
 }
 
 pub mod thm1 {
-    //! E-THM1 grids (LogP-on-BSP slowdown across `(g, ℓ)` scalings and
+    //! E-THM1 rows (LogP-on-BSP slowdown across `(g, ℓ)` scalings and
     //! machine sizes).
 
     use super::*;
@@ -514,116 +395,9 @@ pub mod thm1 {
         (row, attributed)
     }
 
-    /// The reference LogP machine of the scalings table.
-    pub fn reference_params() -> LogpParams {
-        LogpParams::new(16, 16, 1, 4).unwrap()
-    }
-
-    pub(crate) fn scaling_cases() -> Vec<Case> {
-        let logp = reference_params();
-        let mut cases = Vec::new();
-        for (fg, fl) in [(1u64, 1u64), (2, 1), (1, 2), (2, 2), (4, 4)] {
-            cases.push(Case {
-                logp,
-                factor_g: fg,
-                factor_l: fl,
-                workload: Workload::Ring { p: 16, rounds: 8 },
-            });
-        }
-        for (fg, fl) in [(1u64, 1u64), (2, 2)] {
-            cases.push(Case {
-                logp,
-                factor_g: fg,
-                factor_l: fl,
-                workload: Workload::AllToAll { p: 16 },
-            });
-        }
-        cases
-    }
-
-    pub(crate) fn size_cases() -> Vec<Case> {
-        [4usize, 8, 16, 32, 64]
-            .into_iter()
-            .map(|p| Case {
-                logp: LogpParams::new(p, 16, 1, 4).unwrap(),
-                factor_g: 1,
-                factor_l: 1,
-                workload: Workload::Ring { p, rounds: 8 },
-            })
-            .collect()
-    }
-
-    /// The `(g, ℓ)` scalings grid. Cell 0 (ring, matched 1x/1x) is forced:
-    /// it feeds the cost-attribution summary and `--trace-out`, so it runs
-    /// live on every invocation.
-    pub fn scalings_grid() -> GridSpec {
-        let mut g = GridSpec::new("thm1", 1996);
-        for (i, case) in scaling_cases().into_iter().enumerate() {
-            let mut cell = CellSpec::new(
-                "thm1-scalings",
-                i,
-                format!(
-                    "{} {}x/{}x",
-                    case.workload.name(),
-                    case.factor_g,
-                    case.factor_l
-                ),
-            );
-            if i == 0 {
-                cell = cell.forced();
-            }
-            g = g.cell(cell);
-        }
-        g
-    }
-
-    /// Matched parameters across machine sizes.
-    pub fn sizes_grid() -> GridSpec {
-        let mut g = GridSpec::new("thm1", 1996);
-        for (i, case) in size_cases().into_iter().enumerate() {
-            g = g.cell(CellSpec::new(
-                "thm1-sizes",
-                i,
-                format!("ring p={} 1x/1x", case.logp.p),
-            ));
-        }
-        g
-    }
-
-    /// All grids of the `thm1` experiment. Smoke keeps the cheap unforced
-    /// cells (scalings 1–2, sizes 0–1).
-    pub fn grids(smoke: bool) -> Vec<GridSpec> {
-        let mut scalings = scalings_grid();
-        let mut sizes = sizes_grid();
-        if smoke {
-            scalings.cells.retain(|c| !c.force && c.index <= 2);
-            sizes.cells.retain(|c| c.index <= 1);
-        }
-        vec![scalings, sizes]
-    }
-
-    /// Compute one `thm1` cell. `captured` is attached to the options of
-    /// forced cells only (the binary passes its export registry; the
-    /// service passes `None` — forced cells still run live, their rows are
-    /// registry-independent by the determinism contract).
-    pub fn run_cell_with(
-        cell: &CellSpec,
-        mut job: Job,
-        captured: Option<&Registry>,
-    ) -> (Vec<Vec<String>>, Option<CostReport>) {
-        let case = match cell.domain.as_str() {
-            "thm1-scalings" => scaling_cases()[cell.index],
-            "thm1-sizes" => size_cases()[cell.index],
-            other => panic!("unknown thm1 domain '{other}'"),
-        };
-        if cell.force {
-            if let Some(reg) = captured {
-                job.opts = job.opts.registry(reg);
-            }
-        }
-        let (row, att) = run_case(case, &job.opts);
-        (vec![row], att)
-    }
+    /// Machine size of the forced attribution cell (ring, matched 1x/1x),
+    /// for sizing the export registry.
+    pub const FLAGGED_P: usize = 16;
 
     #[cfg(test)]
     mod tests {
@@ -731,88 +505,10 @@ pub mod thm1 {
 }
 
 pub mod thm2 {
-    //! E-THM2 grids (deterministic h-relation routing, the large-h sort
+    //! E-THM2 rows (deterministic h-relation routing, the large-h sort
     //! regime, and the full superstep simulation).
 
     use super::*;
-
-    pub(crate) fn cell_shapes() -> Vec<(usize, usize)> {
-        let mut cells = Vec::new();
-        for p in [16usize, 64] {
-            for h in [1usize, 2, 4, 8, 16, 32] {
-                cells.push((p, h));
-            }
-        }
-        cells
-    }
-
-    pub(crate) const BIG_P: usize = 8;
-    pub(crate) const BIG_HS: [usize; 3] = [98, 128, 256];
-
-    pub(crate) fn strategies() -> Vec<(&'static str, RoutingStrategy)> {
-        vec![
-            ("offline", RoutingStrategy::Offline),
-            ("randomized", RoutingStrategy::Randomized { slack: 2.0 }),
-            (
-                "deterministic",
-                RoutingStrategy::Deterministic(SortScheme::Network),
-            ),
-        ]
-    }
-
-    /// The phase-breakdown grid over `(p, h)`. Cell 3 — `(16, 8)` — is
-    /// forced: its routing phases are captured as spans for the SUMMARY
-    /// line and `--trace-out`.
-    pub fn cells_grid() -> GridSpec {
-        let mut g = GridSpec::new("thm2", 2024);
-        for (i, (p, h)) in cell_shapes().into_iter().enumerate() {
-            let mut cell = CellSpec::new("thm2-cells", i, format!("p={p} h={h}"));
-            if i == 3 {
-                cell = cell.forced();
-            }
-            g = g.cell(cell);
-        }
-        g
-    }
-
-    /// The large-h regime grid (Network vs Columnsort on one relation).
-    pub fn big_grid() -> GridSpec {
-        let mut g = GridSpec::new("thm2", 2024);
-        for (i, h) in BIG_HS.into_iter().enumerate() {
-            g = g.cell(CellSpec::new("thm2-big", i, format!("p={BIG_P} h={h}")));
-        }
-        g
-    }
-
-    /// The full superstep simulation, one cell per routing strategy. The
-    /// deterministic strategy (cell 2) is forced: its superstep
-    /// decomposition is the richest span set the experiment exports.
-    pub fn strategies_grid() -> GridSpec {
-        let mut g = GridSpec::new("thm2", 2024);
-        for (i, (name, _)) in strategies().into_iter().enumerate() {
-            let mut cell = CellSpec::new("thm2-strategies", i, format!("strategy={name}"));
-            if i == 2 {
-                cell = cell.forced();
-            }
-            g = g.cell(cell);
-        }
-        g
-    }
-
-    /// All grids of the `thm2` experiment. Smoke keeps small unforced
-    /// cells: the first three `(16, h)` phase cells, the h=98 sort cell,
-    /// and the offline strategy.
-    pub fn grids(smoke: bool) -> Vec<GridSpec> {
-        let mut cells = cells_grid();
-        let mut big = big_grid();
-        let mut strat = strategies_grid();
-        if smoke {
-            cells.cells.retain(|c| c.index < 3);
-            big.cells.truncate(1);
-            strat.cells.retain(|c| c.index == 0);
-        }
-        vec![cells, big, strat]
-    }
 
     fn make_superstep_processes(p: usize) -> Vec<FnProcess<i64>> {
         (0..p)
@@ -930,108 +626,23 @@ pub mod thm2 {
         (row, att)
     }
 
-    /// Compute one `thm2` cell; same `captured` contract as
-    /// [`thm1::run_cell_with`].
-    pub fn run_cell_with(
-        cell: &CellSpec,
-        mut job: Job,
-        captured: Option<&Registry>,
-    ) -> (Vec<Vec<String>>, Option<CostReport>) {
-        if cell.force {
-            if let Some(reg) = captured {
-                job.opts = job.opts.registry(reg);
-            }
-        }
-        match cell.domain.as_str() {
-            "thm2-cells" => {
-                let (p, h) = cell_shapes()[cell.index];
-                let params = LogpParams::new(p, 16, 1, 2).unwrap();
-                (
-                    vec![route_row(params, h, SortScheme::Network, 7, &mut job)],
-                    None,
-                )
-            }
-            "thm2-big" => {
-                let h = BIG_HS[cell.index];
-                let params = LogpParams::new(BIG_P, 16, 1, 2).unwrap();
-                (route_big_rows(params, h, 9, &mut job), None)
-            }
-            "thm2-strategies" => {
-                let logp = LogpParams::new(16, 16, 1, 2).unwrap();
-                let (name, strategy) = strategies()[cell.index];
-                let (row, att) = superstep_row(logp, name, strategy, &job.opts);
-                (vec![row], att)
-            }
-            other => panic!("unknown thm2 domain '{other}'"),
-        }
-    }
-
     /// Machine size of the forced span-exporting cells (for sizing the
     /// export registries).
     pub const FLAGGED_P: usize = 16;
 }
 
 pub mod faults {
-    //! E-FAULT grid (the differential conformance matrix).
+    //! E-FAULT rows (the differential conformance matrix).
 
     use super::*;
-    use bvl_fault::conformance::{default_plans, run_case};
-    use bvl_fault::{Case, Sim};
-
-    /// The case matrix, in table order (plans × shapes × simulators).
-    pub fn cases(smoke: bool) -> Vec<Case> {
-        let shapes: &[(usize, usize)] = if smoke {
-            &[(8, 4)]
-        } else {
-            &[(8, 4), (16, 6)]
-        };
-        let mut cases = Vec::new();
-        for (i, plan) in default_plans().into_iter().enumerate() {
-            for &(p, h) in shapes {
-                for sim in Sim::ALL {
-                    cases.push(Case {
-                        sim,
-                        p,
-                        h,
-                        seed: 100 + i as u64,
-                        plan: plan.clone(),
-                    });
-                }
-            }
-        }
-        cases
-    }
-
-    /// The conformance grid. The smoke and full matrices are distinct
-    /// domains (their index→case mappings differ), each cell carrying its
-    /// fault-plan line as part of the content address.
-    pub fn grid(smoke: bool) -> GridSpec {
-        let domain = if smoke { "faults-smoke" } else { "faults-full" };
-        let mut g = GridSpec::new("faults", 100);
-        for (i, case) in cases(smoke).into_iter().enumerate() {
-            g = g.cell(
-                CellSpec::new(
-                    domain,
-                    i,
-                    format!("sim={} p={} h={} seed={}", case.sim, case.p, case.h, case.seed),
-                )
-                .plan(case.plan.to_string()),
-            );
-        }
-        g
-    }
-
-    /// Compute one conformance cell. Row 0 is the table row; row 1 is the
-    /// meta row `[checks, repro-line...]` so warm runs reproduce the
-    /// SUMMARY counters, `fault-repros.txt` and the exit code without
-    /// re-running the case.
-    pub fn run_cell(cell: &CellSpec, _job: Job) -> Vec<Vec<String>> {
-        let smoke = cell.domain == "faults-smoke";
-        case_rows(&cases(smoke)[cell.index])
-    }
+    use bvl_fault::conformance::run_case;
+    use bvl_fault::Case;
 
     /// Run one differential case and shape its report into the two stored
-    /// rows (see [`run_cell`]); failures print their repro lines to stderr.
+    /// rows. Row 0 is the table row; row 1 is the meta row `[checks,
+    /// repro-line...]`, so warm runs reproduce the SUMMARY counters,
+    /// `fault-repros.txt` and the exit code without re-running the case.
+    /// Failures print their repro lines to stderr.
     pub fn case_rows(case: &Case) -> Vec<Vec<String>> {
         let rep = run_case(case);
         let row = vec![
@@ -1075,7 +686,7 @@ pub mod faults {
 }
 
 pub mod stack {
-    //! E-STACK grid: the full tower per topology — measure `(γ̂, δ̂)`, run
+    //! E-STACK rows: the full tower per topology — measure `(γ̂, δ̂)`, run
     //! the ring guest abstractly, grounded on the network, and hosted on a
     //! BSP machine via Theorem 1 — one 14-column row per topology.
 
@@ -1086,10 +697,6 @@ pub mod stack {
     use bvl_net::{measure_parameters, NetMedium, RouterConfig, Topology};
     use bvl_scenario::Net;
 
-    /// Ring workload rounds (the historical `exp_stack` constant).
-    pub const ROUNDS: u64 = 8;
-    /// Master seed, measurement seed and `RunOptions` seed.
-    pub const SEED: u64 = 1996;
     /// Processor count of both shipped topologies (p = 32), for sizing the
     /// span-export registry.
     pub const FLAGGED_P: usize = 32;
@@ -1111,41 +718,6 @@ pub mod stack {
                 Script::new(ops)
             })
             .collect()
-    }
-
-    /// Two Table 1 rows with equal processor counts (p = 32): the
-    /// multi-port hypercube (γ = Θ(1), δ = Θ(log p)) and the butterfly
-    /// (γ = δ = Θ(log p)), with their cell-params strings.
-    pub(crate) fn nets() -> Vec<(Net, &'static str)> {
-        vec![
-            (Net::Hypercube(5), "hypercube(5) rounds=8"),
-            (Net::Butterfly(3), "butterfly(3) rounds=8"),
-        ]
-    }
-
-    /// The stack grid. The hypercube cell caches; the butterfly cell is
-    /// forced — it feeds the span export, like the historical binary where
-    /// the second topology's `--trace-out` write won.
-    pub fn grid() -> GridSpec {
-        let mut g = GridSpec::new("stack", SEED);
-        g.opts = RunOptions::new().seed(SEED);
-        for (i, (_, params)) in nets().into_iter().enumerate() {
-            let mut cell = CellSpec::new("stack", i, params);
-            if i == 1 {
-                cell = cell.forced();
-            }
-            g = g.cell(cell);
-        }
-        g
-    }
-
-    /// The `stack` grids; smoke keeps the (cacheable) hypercube cell.
-    pub fn grids(smoke: bool) -> Vec<GridSpec> {
-        let mut g = grid();
-        if smoke {
-            g.cells.retain(|c| c.index == 0);
-        }
-        vec![g]
     }
 
     fn tower<T: Topology + Clone + Send + 'static>(
@@ -1249,75 +821,16 @@ pub mod stack {
         }
     }
 
-    /// Compute one `stack` cell; same `captured` contract as
-    /// [`thm1::run_cell_with`].
-    pub fn run_cell_with(
-        cell: &CellSpec,
-        job: Job,
-        captured: Option<&Registry>,
-    ) -> Vec<Vec<String>> {
-        let (net, _) = nets()[cell.index];
-        let cap = if cell.force { captured } else { None };
-        vec![stack_row(net, ROUNDS, SEED, &job.opts, cap)]
-    }
 }
 
 pub mod sort {
-    //! E-SORT grid: the BSP sample-sort study (`bvl_workloads::sort`) —
+    //! E-SORT rows: the BSP sample-sort study (`bvl_workloads::sort`) —
     //! one row per cell with the measured `w + g·h + ℓ` decomposition, the
     //! 1-optimality ratio against the bucket-balanced ideal, and the
     //! Theorem 2 cross-simulation leg with its envelope verdict.
 
     use super::*;
     use bvl_workloads::{run_sort, SortConfig};
-
-    /// Key-generation master seed of the shipped grid.
-    pub const SEED: u64 = 1996;
-
-    /// The shipped study cells: block sizes growing toward the 1-optimal
-    /// regime on two machine sizes, plus `(g, ℓ)` variations at fixed
-    /// shape. All `p` are powers of two (the Theorem 2 leg routes through
-    /// the power-of-two sorting network).
-    pub fn configs() -> Vec<SortConfig> {
-        let base = |p, n| SortConfig {
-            p,
-            n,
-            g: 2,
-            l: 16,
-            seed: SEED,
-        };
-        vec![
-            base(4, 256),
-            base(8, 512),
-            base(8, 4096),
-            base(16, 2048),
-            SortConfig { g: 4, l: 32, ..base(8, 512) },
-            SortConfig { l: 64, ..base(8, 512) },
-        ]
-    }
-
-    /// The cell-params string of one config (shared with the scenario doc).
-    pub fn params_of(cfg: &SortConfig) -> String {
-        format!("p={} n={} g={} l={} seed={}", cfg.p, cfg.n, cfg.g, cfg.l, cfg.seed)
-    }
-
-    /// The sort grid; no cell is forced — rows are pure measurements.
-    pub fn grid() -> GridSpec {
-        let mut g = GridSpec::new("sort", SEED);
-        for (i, cfg) in configs().iter().enumerate() {
-            g = g.cell(CellSpec::new("sort", i, params_of(cfg)));
-        }
-        g
-    }
-
-    /// The `sort` grids; smoke keeps the two small-block cells.
-    pub fn grids(smoke: bool) -> Vec<GridSpec> {
-        let mut g = grid();
-        if smoke {
-            g.cells.retain(|c| c.index <= 1);
-        }
-        vec![g]
-    }
 
     /// One study row. Column order is load-bearing: the scenario auditor
     /// (`bvl_scenario::bounds`) reads cost(2), ratio(4), xsim(8), native(9)
@@ -1341,68 +854,15 @@ pub mod sort {
         ]
     }
 
-    /// Compute one `sort` cell (registry contract as in the other kinds:
-    /// nothing to attach, rows are registry-independent).
-    pub fn run_cell_with(cell: &CellSpec, job: Job) -> Vec<Vec<String>> {
-        vec![sort_row(&configs()[cell.index], &job.opts)]
-    }
 }
 
 pub mod stream {
-    //! E-STREAM grid: the pseudo-streaming study
+    //! E-STREAM rows: the pseudo-streaming study
     //! (`bvl_workloads::stream`) — the sample-sort workload run classically
     //! and through a bounded window, one row per window.
 
     use super::*;
-    use bvl_workloads::{run_stream, SortConfig, StreamConfig};
-
-    /// Key-generation master seed (shared with the sort grid's base cell).
-    pub const SEED: u64 = 1996;
-
-    /// The shipped cells: one base workload, windows narrowing from
-    /// wider-than-any-relation (classical behaviour must reproduce) down
-    /// to a few messages per round.
-    pub fn configs() -> Vec<StreamConfig> {
-        [10_000u64, 64, 16, 4]
-            .into_iter()
-            .map(|window| StreamConfig {
-                sort: SortConfig {
-                    p: 8,
-                    n: 512,
-                    g: 2,
-                    l: 16,
-                    seed: SEED,
-                },
-                window,
-            })
-            .collect()
-    }
-
-    /// The cell-params string of one config (shared with the scenario doc).
-    pub fn params_of(cfg: &StreamConfig) -> String {
-        format!(
-            "p={} n={} window={} g={} l={} seed={}",
-            cfg.sort.p, cfg.sort.n, cfg.window, cfg.sort.g, cfg.sort.l, cfg.sort.seed
-        )
-    }
-
-    /// The stream grid; no forced cells.
-    pub fn grid() -> GridSpec {
-        let mut g = GridSpec::new("stream", SEED);
-        for (i, cfg) in configs().iter().enumerate() {
-            g = g.cell(CellSpec::new("stream", i, params_of(cfg)));
-        }
-        g
-    }
-
-    /// The `stream` grids; smoke keeps the widest and narrowest windows.
-    pub fn grids(smoke: bool) -> Vec<GridSpec> {
-        let mut g = grid();
-        if smoke {
-            g.cells.retain(|c| c.index == 0 || c.index == 3);
-        }
-        vec![g]
-    }
+    use bvl_workloads::{run_stream, StreamConfig};
 
     /// One study row. The auditor reads native(3), streamed(4), rounds(5),
     /// supersteps(6) by index.
@@ -1421,60 +881,15 @@ pub mod stream {
         ]
     }
 
-    /// Compute one `stream` cell.
-    pub fn run_cell_with(cell: &CellSpec, job: Job) -> Vec<Vec<String>> {
-        vec![stream_row(&configs()[cell.index], &job.opts)]
-    }
 }
 
 pub mod bsf {
-    //! E-BSF grid: the Bulk Synchronous Farm study
+    //! E-BSF rows: the Bulk Synchronous Farm study
     //! (`bvl_workloads::bsf`) — one row per worker count, sweeping across
     //! the scalability boundary `p* = √(units·t_w / (2·t_t))`.
 
     use super::*;
     use bvl_workloads::{run_bsf, BsfParams};
-
-    /// The shipped farm shape: `units·t_w/(2·t_t) = 256·4/4 = 256`, so the
-    /// predicted curve bottoms out at `p* = 16` — the sweep brackets it
-    /// from both sides.
-    pub fn base() -> BsfParams {
-        BsfParams::new(16, 256, 2, 4, 5, 3).expect("shipped BSF shape valid")
-    }
-
-    /// The shipped cells: the worker-count sweep across `p*`.
-    pub fn configs() -> Vec<BsfParams> {
-        [2usize, 4, 8, 16, 32, 64]
-            .into_iter()
-            .map(|w| base().with_workers(w))
-            .collect()
-    }
-
-    /// The cell-params string of one config (shared with the scenario doc).
-    pub fn params_of(p: &BsfParams) -> String {
-        format!(
-            "workers={} units={} tt={} tw={} ts={} iters={}",
-            p.workers, p.units, p.tt, p.tw, p.ts, p.iters
-        )
-    }
-
-    /// The bsf grid; no forced cells (the machine is RNG-free).
-    pub fn grid() -> GridSpec {
-        let mut g = GridSpec::new("bsf", 1996);
-        for (i, cfg) in configs().iter().enumerate() {
-            g = g.cell(CellSpec::new("bsf", i, params_of(cfg)));
-        }
-        g
-    }
-
-    /// The `bsf` grids; smoke keeps the two cells bracketing `p*` tightest.
-    pub fn grids(smoke: bool) -> Vec<GridSpec> {
-        let mut g = grid();
-        if smoke {
-            g.cells.retain(|c| c.index == 2 || c.index == 3);
-        }
-        vec![g]
-    }
 
     /// One study row. The auditor reads simulated(2), predicted(3),
     /// speedup(5) by index.
@@ -1491,82 +906,11 @@ pub mod bsf {
         ]
     }
 
-    /// Compute one `bsf` cell.
-    pub fn run_cell_with(cell: &CellSpec, _job: Job) -> Vec<Vec<String>> {
-        vec![bsf_row(&configs()[cell.index])]
-    }
-}
-
-/// Every experiment the `lab` CLI and HTTP service can run. Since the
-/// scenario plane landed these are compiled from the checked-in
-/// `scenarios/*.scn` documents; `lab validate` and the equivalence tests
-/// prove the compiled grids match the code-defined builders above bit for
-/// bit, so cache keys are shared with the `exp_*` binaries either way.
-pub fn experiments() -> Vec<Box<dyn Experiment>> {
-    crate::scn::experiments()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn grids_cover_the_binaries_cell_counts() {
-        let count = |gs: &[GridSpec]| gs.iter().map(|g| g.cells.len()).sum::<usize>();
-        assert_eq!(count(&table1::grids(false)), 8 + 6 + 3 + 1);
-        assert_eq!(count(&thm1::grids(false)), 7 + 5);
-        assert_eq!(count(&thm2::grids(false)), 12 + 3 + 3);
-        assert_eq!(count(&[faults::grid(true)]), 21);
-        assert_eq!(count(&[faults::grid(false)]), 42);
-        assert_eq!(count(&stack::grids(false)), 2);
-        assert_eq!(count(&stack::grids(true)), 1);
-        assert_eq!(count(&sort::grids(false)), 6);
-        assert_eq!(count(&sort::grids(true)), 2);
-        assert_eq!(count(&stream::grids(false)), 4);
-        assert_eq!(count(&stream::grids(true)), 2);
-        assert_eq!(count(&bsf::grids(false)), 6);
-        assert_eq!(count(&bsf::grids(true)), 2);
-    }
-
-    #[test]
-    fn smoke_grids_carry_no_forced_cells() {
-        for exp in experiments() {
-            for grid in exp.grids(true) {
-                assert!(
-                    grid.cells.iter().all(|c| !c.force),
-                    "{}: smoke grid has a forced cell",
-                    exp.name()
-                );
-                assert_eq!(grid.exp, exp.name());
-            }
-        }
-    }
-
-    #[test]
-    fn forced_cells_sit_where_the_binaries_flag_them() {
-        let forced = |g: &GridSpec| -> Vec<usize> {
-            g.cells.iter().filter(|c| c.force).map(|c| c.index).collect()
-        };
-        assert_eq!(forced(&thm1::scalings_grid()), vec![0]);
-        assert_eq!(forced(&thm2::cells_grid()), vec![3]);
-        assert_eq!(forced(&thm2::strategies_grid()), vec![2]);
-        assert_eq!(forced(&stack::grid()), vec![1], "butterfly feeds the span export");
-        assert!(forced(&table1::k6_grid()).is_empty(), "k6 payload caches");
-    }
-
-    #[test]
-    fn fault_cells_carry_their_plan_lines() {
-        let g = faults::grid(true);
-        assert!(g.cells.iter().all(|c| c.plan.is_some()));
-        // Distinct plans produce distinct content addresses even at equal
-        // (domain, index, params) — guaranteed by cell_key, spot-checked
-        // here end to end.
-        let code = CodeFingerprint::from_parts("x", "0");
-        let mut keys: Vec<String> = g.cells.iter().map(|c| g.key_of(&code, c)).collect();
-        keys.sort();
-        keys.dedup();
-        assert_eq!(keys.len(), g.cells.len());
-    }
 
     #[test]
     fn unopenable_store_degrades_to_uncached() {

@@ -54,144 +54,6 @@ pub fn banner(title: &str) {
     println!();
 }
 
-pub mod sweep {
-    //! Parallel experiment sweeps with deterministic per-config seeding.
-    //!
-    //! An experiment binary is typically a list of independent *configurations*
-    //! (a topology, an `h`, a `(g, ℓ)` scaling factor, …) each mapped to one
-    //! table row. [`sweep`] fans those jobs out over `rayon` worker threads
-    //! and collects the results **in input order**, so the printed tables are
-    //! byte-identical at any thread count.
-    //!
-    //! Randomized jobs draw from [`Job::rng`], a ChaCha8 stream derived by
-    //! [`SeedStream`] from `(domain, job index)` — never from thread identity
-    //! or scheduling order. The determinism contract is therefore:
-    //!
-    //! > same `(domain, master seed, configuration list)` ⇒ same results,
-    //! > regardless of `RAYON_NUM_THREADS`.
-
-    use bvl_exec::RunOptions;
-    use bvl_model::rngutil::SeedStream;
-    use rand_chacha::ChaCha8Rng;
-    use rayon::prelude::*;
-    use std::time::{Duration, Instant};
-
-    /// Per-job context handed to the sweep body.
-    pub struct Job {
-        /// Position of this configuration in the input list (= output slot).
-        pub index: usize,
-        /// Private RNG stream for this job, derived from `(domain, index)`.
-        pub rng: ChaCha8Rng,
-        /// Ready-made run options for this job: a disabled registry in the
-        /// common case; [`sweep_captured`] hands the flagged job an enabled
-        /// one. Bodies thread this straight into the unified run entry
-        /// points (optionally after `.seed(..)` / `.budget(..)`).
-        pub opts: RunOptions,
-    }
-
-    /// Results of a sweep, in input order, plus execution metadata.
-    pub struct SweepReport<R> {
-        /// One result per input configuration, in input order.
-        pub results: Vec<R>,
-        /// Number of configurations executed.
-        pub jobs: usize,
-        /// Worker threads the sweep ran on.
-        pub threads: usize,
-        /// Wall-clock time of the whole sweep.
-        pub elapsed: Duration,
-    }
-
-    impl<R> SweepReport<R> {
-        /// One-line execution summary, e.g. `14 jobs / 8 threads / 0.31s`.
-        pub fn summary(&self) -> String {
-            format!(
-                "{} jobs / {} threads / {:.2}s",
-                self.jobs,
-                self.threads,
-                self.elapsed.as_secs_f64()
-            )
-        }
-    }
-
-    /// [`sweep`] with per-cell observability capture. The job at index
-    /// `flagged` (when `Some`) receives [`Job::opts`] carrying a
-    /// [`bvl_obs::Registry`] enabled for `procs` processors; every other
-    /// job's options keep a disabled registry, so the sweep pays the
-    /// instrumentation cost on exactly one cell. Returns the report plus the
-    /// flagged cell's registry (disabled when nothing was flagged), ready
-    /// for [`bvl_obs::export::write_trace_file`].
-    pub fn sweep_captured<C, R, F>(
-        domain: &str,
-        master: u64,
-        configs: Vec<C>,
-        flagged: Option<usize>,
-        procs: usize,
-        f: F,
-    ) -> (SweepReport<R>, bvl_obs::Registry)
-    where
-        C: Send,
-        R: Send,
-        F: Fn(C, Job) -> R + Sync,
-    {
-        let captured = match flagged {
-            // The capture registry runs at the process-wide `--obs-tier`,
-            // keyed by the flagged cell's `(domain, index)` seed lane — so a
-            // sampled capture admits the same spans at any shard or thread
-            // count.
-            Some(index) => bvl_obs::Registry::tiered(
-                procs,
-                bvl_obs::cli::obs_tier(),
-                SeedStream::new(master).lane_key(domain, index as u64),
-            ),
-            None => bvl_obs::Registry::disabled(),
-        };
-        let report = sweep(domain, master, configs, |config, mut job| {
-            if Some(job.index) == flagged {
-                job.opts = job.opts.registry(&captured);
-            }
-            f(config, job)
-        });
-        (report, captured)
-    }
-
-    /// Run `f` over every configuration in parallel; results come back in
-    /// input order. `domain` names the experiment (it salts each job's RNG
-    /// stream, so two sweeps with the same master seed stay independent).
-    pub fn sweep<C, R, F>(domain: &str, master: u64, configs: Vec<C>, f: F) -> SweepReport<R>
-    where
-        C: Send,
-        R: Send,
-        F: Fn(C, Job) -> R + Sync,
-    {
-        let seeds = SeedStream::new(master);
-        let jobs = configs.len();
-        let threads = rayon::current_num_threads().min(jobs.max(1));
-        let t0 = Instant::now();
-        let results: Vec<R> = configs
-            .into_iter()
-            .enumerate()
-            .collect::<Vec<_>>()
-            .into_par_iter()
-            .map(|(index, config)| {
-                let rng = seeds.derive(domain, index as u64);
-                // Jobs inherit the process-wide `--shards` and `--obs-tier`
-                // flags so sweep cells run on the sharded engines and at the
-                // requested recording depth.
-                let opts = RunOptions::new()
-                    .shards(bvl_obs::cli::shards())
-                    .obs(bvl_obs::cli::obs_tier());
-                f(config, Job { index, rng, opts })
-            })
-            .collect();
-        SweepReport {
-            results,
-            jobs,
-            threads,
-            elapsed: t0.elapsed(),
-        }
-    }
-}
-
 pub mod obs {
     //! Shared observability wiring for the `exp_*` binaries.
     //!
@@ -313,9 +175,7 @@ pub mod obs {
 
 #[cfg(test)]
 mod tests {
-    use super::sweep::sweep;
     use super::*;
-    use rand::RngCore;
 
     #[test]
     fn formatting_helpers() {
@@ -329,57 +189,6 @@ mod tests {
             &["a", "bb"],
             &[vec!["1".into(), "2".into()], vec!["333".into(), "4".into()]],
         );
-    }
-
-    #[test]
-    fn sweep_preserves_input_order() {
-        let rep = sweep("order", 1, (0..64usize).collect(), |c, job| {
-            assert_eq!(c, job.index);
-            c * 3
-        });
-        assert_eq!(rep.jobs, 64);
-        assert_eq!(rep.results, (0..64).map(|c| c * 3).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn sweep_rng_depends_on_index_not_schedule() {
-        let draw = |_c: (), mut job: super::sweep::Job| -> u64 { job.rng.next_u64() };
-        let a = sweep("det", 9, vec![(); 32], draw).results;
-        let b = sweep("det", 9, vec![(); 32], draw).results;
-        assert_eq!(a, b);
-        // Distinct lanes produce distinct streams.
-        assert_ne!(a[0], a[1]);
-    }
-
-    #[test]
-    fn sweep_captured_enables_exactly_the_flagged_cell() {
-        use super::sweep::sweep_captured;
-        let (rep, reg) =
-            sweep_captured("cap", 1, (0..8usize).collect(), Some(3), 4, |c, job| {
-                assert_eq!(job.opts.registry.is_enabled(), job.index == 3);
-                if job.opts.registry.is_enabled() {
-                    job.opts.registry.span(bvl_obs::Span::new(
-                        bvl_obs::SpanKind::LocalWork,
-                        bvl_model::Steps(0),
-                        bvl_model::Steps(1),
-                    ));
-                }
-                c
-            });
-        assert_eq!(rep.results, (0..8).collect::<Vec<_>>());
-        assert_eq!(reg.spans().len(), 1);
-
-        let (_, unflagged) = sweep_captured("cap", 1, vec![0u8; 4], None, 4, |_, job| {
-            assert!(!job.opts.registry.is_enabled());
-        });
-        assert!(!unflagged.is_enabled());
-    }
-
-    #[test]
-    fn sweep_of_nothing_is_empty() {
-        let rep = sweep("empty", 0, Vec::<u8>::new(), |_, _| 0u8);
-        assert!(rep.results.is_empty());
-        assert!(rep.summary().starts_with("0 jobs"));
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! The smoke-matrix test runs in the normal suite; the full `exp_table1`
 //! timing test (the ISSUE's ≥10× warm speedup floor) is `#[ignore]`d here
 //! and exercised by the `lab-warm-cache` CI job under `--release`
-//! (debug-build timings are noise).
+//! (debug-build timings are noise). The `lab` binary's own surfaces are
+//! driven here too: `query` on a damaged store, and `emit`/`validate`
+//! over the shipped scenario documents.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -186,4 +188,38 @@ fn query_lists_cells_whose_keys_are_short_or_not_char_aligned() {
         );
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `lab emit` prints each shipped document exactly as checked in, an
+/// unknown name is a usage error rather than a panic, and `lab validate`
+/// finds every shipped lowering at its recorded digest.
+#[test]
+fn emit_prints_the_shipped_documents_and_validate_passes() {
+    let lab = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_lab"))
+            .args(args)
+            .output()
+            .expect("lab runs")
+    };
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
+    for (name, _) in bvl_bench::scn::SHIPPED {
+        let out = lab(&["emit", name]);
+        assert!(out.status.success(), "lab emit {name}: {out:?}");
+        let on_disk = std::fs::read(dir.join(format!("{name}.scn"))).unwrap();
+        assert!(out.stdout == on_disk, "lab emit {name} differs from scenarios/{name}.scn");
+    }
+
+    let out = lab(&["emit", "nope"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "lab emit nope: {stderr}");
+    assert!(!stderr.contains("panicked"), "lab emit nope panicked: {stderr}");
+    assert!(stderr.contains("unknown shipped scenario 'nope'"), "{stderr}");
+
+    let out = lab(&["validate"]);
+    assert!(
+        out.status.success(),
+        "lab validate failed:\n{}{}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
 }

@@ -63,10 +63,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// A runnable experiment the service can execute on demand: a named grid
-/// plus the per-cell measurement body. Implementations live next to the
-/// experiment binaries (`bvl_bench::labexp`) so the CLI, the HTTP service
-/// and the `exp_*` bins share one grid definition — and therefore one set
-/// of cache keys.
+/// plus the per-cell measurement body. The shipped implementations are
+/// compiled from `scenarios/*.scn` (`bvl_bench::scn::experiments`), so the
+/// CLI, the HTTP service and the `exp_*` bins share one grid declaration
+/// — and therefore one set of cache keys.
 pub trait Experiment: Send + Sync {
     /// Stable experiment name (the store grouping key and URL parameter).
     fn name(&self) -> &str;

@@ -98,9 +98,10 @@ pub(crate) fn excerpt(text: &str, pos: usize) -> String {
     out
 }
 
-/// `name` cut to at most [`QUOTE_BYTES`] bytes on a char boundary, with
-/// `…` marking a cut: how an error message quotes a client-chosen name.
-pub(crate) fn clip(name: &str) -> String {
+/// `name` cut to at most 32 bytes (`QUOTE_BYTES`) on a char boundary,
+/// with `…` marking a cut: how an error message quotes a client-chosen
+/// name or token.
+pub fn clip(name: &str) -> String {
     excerpt(name, 0)
 }
 

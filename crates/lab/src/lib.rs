@@ -18,10 +18,11 @@
 //! * [`store`] — the crash-safe persistent store: append-only JSONL
 //!   segments, in-memory index, atomic compaction, stale-generation
 //!   invalidation.
-//! * [`scheduler`] — the incremental executor: partition a requested grid
-//!   into hits and misses, compute only the misses (rayon, with the same
-//!   per-`(domain, index)` seeding as `bvl_bench::sweep`, so warm and
-//!   cold runs are bit-identical), journal each completion for resume.
+//! * [`scheduler`] — the incremental executor and the one way every grid
+//!   runs: partition a requested grid into hits and misses, compute only
+//!   the misses (rayon, each cell seeded from `(master, domain, index)`,
+//!   so warm and cold runs are bit-identical), journal each completion
+//!   for resume.
 //! * [`shard`] — the scale-out layer: [`shard::ShardedStore`] routes each
 //!   cell to one of N independent store shards by a pure function of its
 //!   content digest, so shard count never changes what a grid computes.

@@ -6,10 +6,14 @@
 //! moment it finishes — an interrupted grid resumes exactly where it
 //! stopped, because every already-finished cell is a hit on the next run.
 //!
-//! **Determinism contract** (inherited from `bvl_bench::sweep` and load-
-//! bearing for the cache): each cell's RNG stream is derived from
-//! `(master seed, domain, index)` — never from the position of the cell in
-//! the miss list, the worker thread, or the schedule. A cell therefore
+//! Every grid in the workspace runs here: the shipped scenarios, submitted
+//! scenario documents, and the uncached one-off grids of `exp_xover` and
+//! `bench_engine` (pass `None` for the store).
+//!
+//! **Determinism contract** (load-bearing for the cache): each cell's RNG
+//! stream is derived from `(master seed, domain, index)` — never from the
+//! position of the cell in the miss list, the worker thread, or the
+//! schedule — and rows come back in request order. A cell therefore
 //! computes bit-identical rows whether it runs cold in a full sweep, warm
 //! as the single missing cell of a resumed grid, or at any
 //! `RAYON_NUM_THREADS`.
@@ -127,8 +131,7 @@ impl GridSpec {
     }
 }
 
-/// Per-cell context handed to the grid body (mirrors
-/// `bvl_bench::sweep::Job` so retrofitted experiment bodies port 1:1).
+/// Per-cell context handed to the grid body.
 pub struct Job {
     /// The cell's index within its domain.
     pub index: usize,

@@ -113,8 +113,8 @@ impl GridDoc {
 pub struct CellDoc {
     /// What the cell computes.
     pub work: Work,
-    /// Human-readable cell parameters; part of the content address and
-    /// must match the legacy grid byte for byte for keys to survive.
+    /// Human-readable cell parameters; part of the content address, so
+    /// editing one moves the cell's store key.
     pub params: String,
     /// Per-cell domain override.
     pub domain: Option<String>,
@@ -294,7 +294,7 @@ pub enum Work {
         wl: SuperWl,
     },
     /// Differential fault-conformance case (E-FAULT). The fault plan rides
-    /// on [`CellDoc::plan`], as in the legacy grid.
+    /// on [`CellDoc::plan`], where it is part of the content address.
     Conformance {
         /// Which simulator to drive.
         sim: Sim,

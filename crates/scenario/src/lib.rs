@@ -2,9 +2,10 @@
 //!
 //! Every experiment in this repo is a *parameterized comparison*: a grid of
 //! (workload × machine params × routing × topology) cells driven through
-//! [`bvl_lab::run_grid`]. Until this crate, those grids were hand-written
-//! Rust in `bvl_bench::labexp`, so a new scenario required a rebuild and
-//! could not be submitted to the lab service as data.
+//! [`bvl_lab::run_grid`]. This crate declares those grids as data: a new
+//! scenario needs no rebuild and can be submitted to the lab service, and
+//! the shipped `scenarios/*.scn` documents are the only declaration of the
+//! repo's own experiments.
 //!
 //! This crate makes scenarios data:
 //!
@@ -14,12 +15,12 @@
 //!   round-trip encoding ([`ScenarioDoc::repro`]).
 //! * [`parse()`] — a hand-written std-only parser with byte-offset error
 //!   messages; `parse(doc.to_text()) == doc` (proptested).
-//! * [`topo`] — the shared topology vocabulary ([`Net`], [`measure`])
-//!   previously duplicated in `labexp`, with stable text tokens.
+//! * [`topo`] — the shared topology vocabulary ([`Net`], [`measure`]),
+//!   with stable text tokens.
 //! * [`compile()`] — the lowering pass: a document becomes the exact
 //!   [`bvl_lab::GridSpec`]/[`bvl_lab::CellSpec`]/`RunOptions` stacks the
-//!   scheduler consumes today, so store keys — and therefore warm-cache
-//!   hits — survive the refactor bit for bit.
+//!   scheduler consumes, with position-stable store keys, so smoke and
+//!   full runs share warm-cache hits.
 //! * [`bounds`] — the Bilardi–Scquizzato–Silvestri-style lower-bound
 //!   audit: proven communication lower bounds per cell kind, checked over
 //!   every completed grid. A measured cost below a proven bound is not a

@@ -15,7 +15,10 @@
 //! attribute. Quoted values use `"` with `\\`, `\"`, `\n`, `\t` escapes.
 //!
 //! Every error carries the byte offset (and derived line number) of the
-//! offending token, in the same spirit as `bvl_obs::jsonio`.
+//! offending token, in the same spirit as `bvl_obs::jsonio`. Errors go back
+//! to clients (`POST /run` returns them in its 400 body), so every token
+//! they quote is clipped ([`clip`]): an error never grows with what the
+//! client sent.
 //!
 //! Tokens borrow the source; only the strings the document keeps are
 //! allocated. The whole text is tokenized before any statement is parsed,
@@ -27,6 +30,7 @@ use std::str::FromStr;
 
 use bvl_fault::conformance::Sim;
 use bvl_fault::FaultPlan;
+use bvl_lab::jsonio::clip;
 use bvl_logp::LogpParams;
 
 use crate::doc::{
@@ -136,7 +140,11 @@ fn tokenize(src: &str) -> Result<Vec<Statement<'_>>, ParseError> {
                             i += 1;
                         }
                         if vstart == i {
-                            return Err(err(src, start, format!("'{key}=' has an empty value")));
+                            return Err(err(
+                                src,
+                                start,
+                                format!("'{}=' has an empty value", clip(key)),
+                            ));
                         }
                         Some(Cow::Borrowed(&src[vstart..i]))
                     }
@@ -272,7 +280,7 @@ impl<'a, 's> Attrs<'a, 's> {
             Some(slot) => Err(err(
                 self.src,
                 slot.offset,
-                format!("unknown attribute '{}'", slot.key),
+                format!("unknown attribute '{}'", clip(slot.key)),
             )),
             None => Ok(()),
         }
@@ -286,13 +294,29 @@ fn parse_with<T: FromStr>(
     value: &str,
     expect: &str,
 ) -> Result<T, ParseError> {
-    value
-        .parse::<T>()
-        .map_err(|_| err(src, offset, format!("'{key}={value}' is not {expect}")))
+    value.parse::<T>().map_err(|_| {
+        err(
+            src,
+            offset,
+            format!("'{key}={}' is not {expect}", clip(value)),
+        )
+    })
 }
 
-fn parse_tok<T>(src: &str, offset: usize, what: &str, res: Result<T, String>) -> Result<T, ParseError> {
-    res.map_err(|e| err(src, offset, format!("bad {what}: {e}")))
+/// Parse `token` with `parse`, naming `what` in the error. The wrapped
+/// message quotes the token or parts of it, so for a token longer than a
+/// quote may be, the message is clipped as a whole.
+fn parse_tok<T>(
+    src: &str,
+    offset: usize,
+    what: &str,
+    token: &str,
+    parse: impl FnOnce(&str) -> Result<T, String>,
+) -> Result<T, ParseError> {
+    parse(token).map_err(|e| {
+        let e = if clip(token) == token { e } else { clip(&e) };
+        err(src, offset, format!("bad {what}: {e}"))
+    })
 }
 
 fn take_u64(src: &str, attrs: &mut Attrs<'_, '_>, key: &str) -> Result<Option<u64>, ParseError> {
@@ -316,15 +340,24 @@ fn require_logp(src: &str, attrs: &mut Attrs<'_, '_>) -> Result<LogpParams, Pars
     let (off, v) = attrs.require("logp")?;
     let parts: Vec<&str> = v.split(':').collect();
     if parts.len() != 4 {
-        return Err(err(src, off, format!("'logp={v}' is not of the form P:L:O:G")));
+        return Err(err(
+            src,
+            off,
+            format!("'logp={}' is not of the form P:L:O:G", clip(&v)),
+        ));
     }
     let num = |s: &str| -> Result<u64, ParseError> {
-        s.parse()
-            .map_err(|_| err(src, off, format!("'logp={v}': '{s}' is not a number")))
+        s.parse().map_err(|_| {
+            err(
+                src,
+                off,
+                format!("'logp={}': '{}' is not a number", clip(&v), clip(s)),
+            )
+        })
     };
     let p = num(parts[0])? as usize;
     let (l, o, g) = (num(parts[1])?, num(parts[2])?, num(parts[3])?);
-    LogpParams::new(p, l, o, g).map_err(|e| err(src, off, format!("'logp={v}': {e}")))
+    LogpParams::new(p, l, o, g).map_err(|e| err(src, off, format!("'logp={}': {e}", clip(&v))))
 }
 
 fn require_plan(
@@ -333,7 +366,7 @@ fn require_plan(
     key: &str,
 ) -> Result<Option<FaultPlan>, ParseError> {
     match attrs.take(key)? {
-        Some((off, v)) => Ok(Some(parse_tok(src, off, "fault plan", v.parse())?)),
+        Some((off, v)) => Ok(Some(parse_tok(src, off, "fault plan", &v, str::parse)?)),
         None => Ok(None),
     }
 }
@@ -350,13 +383,17 @@ fn parse_cell<'s>(src: &'s str, stmt: &mut Statement<'s>) -> Result<CellDoc, Par
     let work = match kind.key {
         "measure" => {
             let (noff, nv) = attrs.require("net")?;
-            let net: Net = parse_tok(src, noff, "net", nv.parse())?;
+            let net: Net = parse_tok(src, noff, "net", &nv, str::parse)?;
             let (moff, mv) = attrs.require("mode")?;
             let mode = match &*mv {
                 "multi" => bvl_net::PortMode::Multi,
                 "single" => bvl_net::PortMode::Single,
                 other => {
-                    return Err(err(src, moff, format!("'mode={other}' is not multi | single")))
+                    return Err(err(
+                        src,
+                        moff,
+                        format!("'mode={}' is not multi | single", clip(other)),
+                    ))
                 }
             };
             let seed = require_u64(src, &mut attrs, "seed")?;
@@ -365,14 +402,14 @@ fn parse_cell<'s>(src: &'s str, stmt: &mut Statement<'s>) -> Result<CellDoc, Par
                 "main" => {
                     let (foff, fv) = attrs.require("family")?;
                     View::Main {
-                        family: parse_tok(src, foff, "family", parse_family(&fv))?,
+                        family: parse_tok(src, foff, "family", &fv, parse_family)?,
                     }
                 }
                 "scaling" => {
                     let (foff, fv) = attrs.require("family")?;
                     let (_, label) = attrs.require("label")?;
                     View::Scaling {
-                        family: parse_tok(src, foff, "family", parse_family(&fv))?,
+                        family: parse_tok(src, foff, "family", &fv, parse_family)?,
                         label: label.into_owned(),
                     }
                 }
@@ -386,7 +423,7 @@ fn parse_cell<'s>(src: &'s str, stmt: &mut Statement<'s>) -> Result<CellDoc, Par
                     return Err(err(
                         src,
                         voff,
-                        format!("'view={other}' is not main | scaling | obs1 | k6"),
+                        format!("'view={}' is not main | scaling | obs1 | k6", clip(other)),
                     ))
                 }
             };
@@ -412,7 +449,7 @@ fn parse_cell<'s>(src: &'s str, stmt: &mut Statement<'s>) -> Result<CellDoc, Par
                 return Err(err(
                     src,
                     woff,
-                    format!("'wl={wv}' is not ring:ROUNDS | alltoall"),
+                    format!("'wl={}' is not ring:ROUNDS | alltoall", clip(&wv)),
                 ));
             };
             Work::Host { logp, fg, fl, wl }
@@ -428,7 +465,7 @@ fn parse_cell<'s>(src: &'s str, stmt: &mut Statement<'s>) -> Result<CellDoc, Par
                     return Err(err(
                         src,
                         soff,
-                        format!("'scheme={other}' is not network | columnsort"),
+                        format!("'scheme={}' is not network | columnsort", clip(other)),
                     ))
                 }
             };
@@ -461,19 +498,24 @@ fn parse_cell<'s>(src: &'s str, stmt: &mut Statement<'s>) -> Result<CellDoc, Par
                 return Err(err(
                     src,
                     soff,
-                    format!("'strategy={sv}' is not offline | randomized:SLACK | deterministic"),
+                    format!(
+                        "'strategy={}' is not offline | randomized:SLACK | deterministic",
+                        clip(&sv)
+                    ),
                 ));
             };
             let (woff, wv) = attrs.require("wl")?;
             let wl = match &*wv {
                 "mod7fan" => SuperWl::Mod7Fan,
-                other => return Err(err(src, woff, format!("'wl={other}' is not mod7fan"))),
+                other => {
+                    return Err(err(src, woff, format!("'wl={}' is not mod7fan", clip(other))))
+                }
             };
             Work::Superstep { logp, strategy, wl }
         }
         "conformance" => {
             let (soff, sv) = attrs.require("sim")?;
-            let sim: Sim = parse_tok(src, soff, "sim", sv.parse())?;
+            let sim: Sim = parse_tok(src, soff, "sim", &sv, str::parse)?;
             let p = require_usize(src, &mut attrs, "p")?;
             let h = require_usize(src, &mut attrs, "h")?;
             let seed = require_u64(src, &mut attrs, "seed")?;
@@ -481,7 +523,7 @@ fn parse_cell<'s>(src: &'s str, stmt: &mut Statement<'s>) -> Result<CellDoc, Par
         }
         "stack" => {
             let (noff, nv) = attrs.require("net")?;
-            let net: Net = parse_tok(src, noff, "net", nv.parse())?;
+            let net: Net = parse_tok(src, noff, "net", &nv, str::parse)?;
             let rounds = require_u64(src, &mut attrs, "rounds")?;
             let seed = require_u64(src, &mut attrs, "seed")?;
             Work::Stack { net, rounds, seed }
@@ -530,7 +572,7 @@ fn parse_cell<'s>(src: &'s str, stmt: &mut Statement<'s>) -> Result<CellDoc, Par
             return Err(err(
                 src,
                 kind.offset,
-                format!("unknown cell kind '{other}' (measure | host | route | route-big | superstep | conformance | stack | sort | stream | bsf)"),
+                format!("unknown cell kind '{}' (measure | host | route | route-big | superstep | conformance | stack | sort | stream | bsf)", clip(other)),
             ))
         }
     };
@@ -561,7 +603,13 @@ fn parse_grid<'s>(src: &'s str, stmt: &mut Statement<'s>) -> Result<GridDoc, Par
         Some((off, v)) => Some(match &*v {
             "smoke" => OnlyIn::Smoke,
             "full" => OnlyIn::Full,
-            other => return Err(err(src, off, format!("'only={other}' is not smoke | full"))),
+            other => {
+                return Err(err(
+                    src,
+                    off,
+                    format!("'only={}' is not smoke | full", clip(other)),
+                ))
+            }
         }),
         None => None,
     };
@@ -634,7 +682,7 @@ pub fn parse(src: &str) -> Result<ScenarioDoc, ParseError> {
                 return Err(err(
                     src,
                     stmt.head.offset,
-                    format!("unknown statement '{other}' (grid | cell)"),
+                    format!("unknown statement '{}' (grid | cell)", clip(other)),
                 ))
             }
         }

@@ -2,8 +2,8 @@
 //!
 //! [`Net`] names every Table 1 instance the experiments build, with a
 //! stable text token (`hypercube:6`, `mesh-of-trees:16`) so scenario files
-//! can reference topologies by name. The `labexp` grids and the `.scn`
-//! lowering both construct through this one enum, so a measured-medium
+//! can reference topologies by name. Every row builder and the `.scn`
+//! lowering construct through this one enum, so a measured-medium
 //! scenario (`exp_stack` style) and a Table 1 sweep agree on what
 //! `hypercube:5` means.
 

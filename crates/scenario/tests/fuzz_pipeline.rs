@@ -163,3 +163,45 @@ fn shipped_documents_drive_cleanly() {
         drive(text);
     }
 }
+
+/// Parse errors go back to clients in `POST /run`'s 400 body, so they must
+/// not grow with what the client sent: a ~100 kB token in any position an
+/// error quotes draws an error under 1 kB, with the token clipped.
+#[test]
+fn errors_quote_a_huge_token_clipped() {
+    let big = "x".repeat(100_000);
+    let digits = "9".repeat(100_000);
+    let zeros = format!("{}9", "0".repeat(100_000));
+    let grid = "scenario s\ngrid exp=e master=1 domain=d\n";
+    let cases: Vec<(&str, String)> = vec![
+        ("unknown statement", format!("scenario s\n{big}\n")),
+        ("unknown cell kind", format!("{grid}cell {big} params=\"x\"\n")),
+        ("unknown attribute", format!("scenario s\ngrid exp=e master=1 {big}=1\n")),
+        ("has an empty value", format!("scenario s\ngrid exp=e master=1 {big}= \n")),
+        ("is not a number", format!("scenario s\ngrid exp=e master={big}\n")),
+        ("is not smoke | full", format!("scenario s\ngrid exp=e master=1 only={big}\n")),
+        ("bad fault plan", format!("scenario s\ngrid exp=e master=1 fault={big}\n")),
+        ("bad fault plan", format!("scenario s\ngrid exp=e master=1 fault=seed=1,jitter={big}\n")),
+        ("bad net", format!("{grid}cell stack net={big} rounds=1 seed=1 params=\"x\"\n")),
+        ("bad net", format!("{grid}cell stack net=hypercube:{digits} rounds=1 seed=1 params=\"x\"\n")),
+        ("is not multi | single", format!("{grid}cell measure net=hypercube:3 mode={big} seed=1 view=main family=ccc params=\"x\"\n")),
+        ("is not main", format!("{grid}cell measure net=hypercube:3 mode=multi seed=1 view={big} params=\"x\"\n")),
+        ("bad family", format!("{grid}cell measure net=hypercube:3 mode=multi seed=1 view=main family={big} params=\"x\"\n")),
+        ("is not of the form P:L:O:G", format!("{grid}cell route logp={big} h=1 scheme=network seed=1 params=\"x\"\n")),
+        ("is not a number", format!("{grid}cell route logp=8:{digits}:1:2 h=1 scheme=network seed=1 params=\"x\"\n")),
+        ("'logp=", format!("{grid}cell route logp=8:4:1:{zeros} h=1 scheme=network seed=1 params=\"x\"\n")),
+        ("is not network | columnsort", format!("{grid}cell route logp=8:16:1:2 h=1 scheme={big} seed=1 params=\"x\"\n")),
+        ("is not ring:ROUNDS | alltoall", format!("{grid}cell host logp=8:16:1:2 fg=1 fl=1 wl={big} params=\"x\"\n")),
+        ("is not a round count", format!("{grid}cell host logp=8:16:1:2 fg=1 fl=1 wl=ring:{big} params=\"x\"\n")),
+        ("is not offline", format!("{grid}cell superstep logp=8:16:1:2 strategy={big} wl=mod7fan params=\"x\"\n")),
+        ("is not mod7fan", format!("{grid}cell superstep logp=8:16:1:2 strategy=offline wl={big} params=\"x\"\n")),
+        ("bad sim", format!("{grid}cell conformance sim={big} p=8 h=4 seed=1 params=\"x\"\n")),
+    ];
+    for (want, doc) in &cases {
+        let e = parse(doc).expect_err(want);
+        let text = e.to_string();
+        assert!(text.contains(want), "expected {want:?}, got {text}");
+        assert!(text.contains('…'), "{want:?}: token not clipped: {text}");
+        assert!(text.len() < 1024, "{want:?}: {} B error", text.len());
+    }
+}

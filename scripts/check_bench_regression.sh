@@ -44,27 +44,32 @@
 # non-zero on failure. Skipped with a notice when no baseline is
 # committed.
 #
+# Every gate runs, whatever an earlier one found. Each is its own
+# `bash -e` child (a function exported into `bash -euo pipefail -c`), so a
+# gate that fails partway stops there and never prints its PASS line, and
+# the script ends with one PASS/FAIL line per gate (SKIP when the gate's
+# baseline is not committed) and exits 1 if any gate failed.
+#
 # The committed BENCH_engine.json is restored afterwards; regenerating the
 # baselines themselves is `scripts/regen_experiments.sh`'s job.
-set -euo pipefail
+set -uo pipefail
 cd "$(dirname "$0")/.."
 
-baseline=$(mktemp)
-faults_work=""
-obs_work=""
-serve_work=""
-sort_work=""
+# Scratch space for every gate, and the engine baseline gate 1 overwrites.
+work=$(mktemp -d)
+baseline="$work/BENCH_engine.baseline.json"
 cp BENCH_engine.json "$baseline"
 restore() {
     cp "$baseline" BENCH_engine.json
-    rm -f "$baseline"
-    if [[ -n "$faults_work" ]]; then rm -rf "$faults_work"; fi
-    if [[ -n "$obs_work" ]]; then rm -rf "$obs_work"; fi
-    if [[ -n "$serve_work" ]]; then rm -rf "$serve_work"; fi
-    if [[ -n "$sort_work" ]]; then rm -rf "$sort_work"; fi
+    rm -rf "$work"
 }
 trap restore EXIT
+# A gate exits with SKIP when its baseline is not committed.
+SKIP=3
+export work baseline SKIP
 
+# Gate 1: bench_engine against BENCH_engine.json.
+gate_1() {
 cargo run -q --release -p bvl-bench --bin bench_engine >/dev/null
 
 python3 - "$baseline" <<'PY'
@@ -121,16 +126,21 @@ if "scaling" in base:
 sys.exit(1 if fail else 0)
 PY
 echo "bench_engine regression gate: PASS (committed baseline restored)"
+}
 
+# Gate 2: the exp_faults conformance matrix against BENCH_faults.json.
+gate_2() {
 if [[ ! -f BENCH_faults.json ]]; then
     echo "notice: no committed BENCH_faults.json baseline; skipping fault-conformance gate"
-else
+    exit "$SKIP"
+fi
 
 # Run the full matrix in a scratch directory so the committed baseline and
 # any working-tree fault-repros.txt stay untouched. `exp_faults` writes its
 # JSON before exiting non-zero on failing cases, so the exact diff below
 # sees verdict flips either way.
-faults_work=$(mktemp -d)
+faults_work="$work/faults"
+mkdir -p "$faults_work"
 repo_root=$PWD
 (cd "$faults_work" && \
     cargo run -q --release --manifest-path "$repo_root/Cargo.toml" \
@@ -175,24 +185,14 @@ if fail:
 print(f"PASS faults: {len(b)} cases bit-identical to baseline")
 PY
 echo "exp_faults conformance gate: PASS (exact match)"
+}
 
-fi # BENCH_faults.json gate
-
-# Gate 4: the communication lower-bound audit over the committed fault
-# baselines (DESIGN.md §15). The bounds are theorems — delay-only faults
-# can never speed a run up; the routers' clean legs pay (h-1)·G + L — so
-# a baseline below them records a simulator bug, whatever it was diffed
-# against. Skipped with a notice when no baseline is committed.
-if [[ -f BENCH_faults.json ]]; then
-    cargo run -q --release -p bvl-bench --bin lab -- audit --bench BENCH_faults.json
-    echo "lower-bound audit gate: PASS (BENCH_faults.json respects the proven bounds)"
-else
-    echo "notice: no committed BENCH_faults.json baseline; skipping lower-bound audit gate"
-fi
-
+# Gate 3: bench_obs overheads.
+gate_3() {
 if [[ ! -f BENCH_obs.json ]]; then
     echo "notice: no committed BENCH_obs.json baseline; skipping obs-overhead gate"
-else
+    exit "$SKIP"
+fi
 
 # The committed baseline must itself record a passing acceptance block —
 # a red baseline should never be committable by accident.
@@ -214,14 +214,28 @@ PY
 # Re-run in a scratch directory so the committed baseline stays untouched.
 # bench_obs gates its own same-host relative overheads and exits non-zero
 # past the limits; its per-workload rows go to stderr for the log.
-obs_work=$(mktemp -d)
+obs_work="$work/obs"
+mkdir -p "$obs_work"
 repo_root=$PWD
 (cd "$obs_work" && \
     cargo run -q --release --manifest-path "$repo_root/Cargo.toml" \
         -p bvl-bench --bin bench_obs >/dev/null)
 echo "bench_obs overhead gate: PASS (tiered overheads within limits on this host)"
+}
 
-fi # BENCH_obs.json gate
+# Gate 4: the communication lower-bound audit over the committed fault
+# baselines (DESIGN.md §15). The bounds are theorems — delay-only faults
+# can never speed a run up; the routers' clean legs pay (h-1)·G + L — so
+# a baseline below them records a simulator bug, whatever it was diffed
+# against. Skipped with a notice when no baseline is committed.
+gate_4() {
+if [[ ! -f BENCH_faults.json ]]; then
+    echo "notice: no committed BENCH_faults.json baseline; skipping lower-bound audit gate"
+    exit "$SKIP"
+fi
+cargo run -q --release -p bvl-bench --bin lab -- audit --bench BENCH_faults.json
+echo "lower-bound audit gate: PASS (BENCH_faults.json respects the proven bounds)"
+}
 
 # Gate 5: the committed BENCH_serve.json must record a passing acceptance
 # block — in particular ≥ its own min_concurrent_clients floor held
@@ -232,9 +246,11 @@ fi # BENCH_obs.json gate
 # (it gates its own same-host p99/error-rate/replication acceptance and
 # exits non-zero on failure). Skipped with a notice when no baseline is
 # committed.
+gate_5() {
 if [[ ! -f BENCH_serve.json ]]; then
     echo "notice: no committed BENCH_serve.json baseline; skipping serve gate"
-else
+    exit "$SKIP"
+fi
 
 python3 - <<'PY'
 import json, sys
@@ -258,14 +274,14 @@ print(f'PASS serve baseline: {held} concurrent clients (floor {floor}), '
       f'replication match {acc["replication_digest_match"]}')
 PY
 
-serve_work=$(mktemp -d)
+serve_work="$work/serve"
+mkdir -p "$serve_work"
 repo_root=$PWD
 (cd "$serve_work" && \
     cargo run -q --release --manifest-path "$repo_root/Cargo.toml" \
         -p bvl-bench --bin bench_serve -- --smoke >/dev/null)
 echo "bench_serve gate: PASS (front end holds its smoke acceptance on this host)"
-
-fi # BENCH_serve.json gate
+}
 
 # Gate 6: the committed BENCH_sort.json must record a passing sample-sort
 # acceptance block — every cell sorted, every cross-simulation under its
@@ -276,9 +292,11 @@ fi # BENCH_serve.json gate
 # --smoke` re-proves the study in a scratch directory (it self-gates
 # sortedness and the envelope and exits non-zero on failure). Skipped
 # with a notice when no baseline is committed.
+gate_6() {
 if [[ ! -f BENCH_sort.json ]]; then
     echo "notice: no committed BENCH_sort.json baseline; skipping sample-sort gate"
-else
+    exit "$SKIP"
+fi
 
 python3 - <<'PY'
 import json, sys
@@ -305,11 +323,42 @@ PY
 
 cargo run -q --release -p bvl-bench --bin lab -- audit --bench BENCH_sort.json
 
-sort_work=$(mktemp -d)
+sort_work="$work/sort"
+mkdir -p "$sort_work"
 repo_root=$PWD
 (cd "$sort_work" && \
     cargo run -q --release --manifest-path "$repo_root/Cargo.toml" \
         -p bvl-bench --bin exp_sort -- --smoke >/dev/null)
 echo "exp_sort gate: PASS (sample-sort acceptance holds on this host)"
+}
 
-fi # BENCH_sort.json gate
+export -f gate_1 gate_2 gate_3 gate_4 gate_5 gate_6
+
+names=(
+    "1 bench_engine timeline/payload/scaling"
+    "2 exp_faults conformance matrix"
+    "3 bench_obs overheads"
+    "4 lower-bound audit of BENCH_faults.json"
+    "5 bench_serve front end"
+    "6 exp_sort sample-sort acceptance"
+)
+verdicts=()
+failed=0
+for i in 1 2 3 4 5 6; do
+    echo "== gate ${names[i - 1]}"
+    bash -euo pipefail -c "gate_$i"
+    status=$?
+    case $status in
+        0) verdicts+=("PASS gate ${names[i - 1]}") ;;
+        "$SKIP") verdicts+=("SKIP gate ${names[i - 1]} (no committed baseline)") ;;
+        *)
+            verdicts+=("FAIL gate ${names[i - 1]} (exit $status)")
+            failed=1
+            ;;
+    esac
+done
+
+echo
+echo "== bench regression gates"
+printf '%s\n' "${verdicts[@]}"
+exit "$failed"
