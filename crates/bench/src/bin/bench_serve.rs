@@ -1,6 +1,6 @@
 //! Open-loop service benchmark → `BENCH_serve.json`.
 //!
-//! Proves the nonblocking front end (ISSUE 9) on four axes, each recorded
+//! Proves the nonblocking front end on four axes, each recorded
 //! in the output JSON and folded into a single acceptance block:
 //!
 //! * **correctness** — a cold `POST /run` computes every cell of the
@@ -21,9 +21,6 @@
 //!   the whole phase, with periodic two-request pipelined bursts); its
 //!   p99 is recorded as `p99_pipelined_ms` and gated like the open-loop
 //!   p99.
-//! * **replication** — the live store is synced to a follower, digests
-//!   must match; a torn tail is injected into the follower and a resync
-//!   must repair it back to bit-identical.
 //!
 //! Wall-clock gates are same-host relative and sized for a single-vCPU
 //! reference host: p99 under `P99_LIMIT_MS`, error rate under 1%. Run via:
@@ -33,13 +30,13 @@
 //! ```
 
 use bvl_bench::scn;
-use bvl_lab::{serve, store_digest, sync_store, CodeFingerprint, OnStale, Service, ShardedStore};
+use bvl_lab::{serve, CodeFingerprint, OnStale, Service, ShardedStore};
 use bvl_obs::Registry;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex};
 use std::time::{Duration, Instant};
@@ -462,46 +459,10 @@ fn outcome(
     }
 }
 
-/// Phase 4: replicate the warm store, then tear the follower's newest
-/// segment and prove a resync repairs it back to bit-identical.
-fn replication_phase(leader: &Path, follower: &Path) -> (bool, bool, u64) {
-    let _ = std::fs::remove_dir_all(follower);
-    sync_store(leader, follower).expect("initial sync");
-    let initial =
-        store_digest(leader).expect("leader digest") == store_digest(follower).expect("follower");
-
-    // Torn tail: append half a record's worth of garbage to the newest
-    // follower segment, as a crash mid-append would leave behind.
-    let mut segs: Vec<PathBuf> = Vec::new();
-    for shard in 0..SHARDS {
-        let dir = follower.join(format!("shard-{shard:03}"));
-        if let Ok(rd) = std::fs::read_dir(&dir) {
-            for e in rd.flatten() {
-                let p = e.path();
-                if p.extension().is_some_and(|x| x == "jsonl") {
-                    segs.push(p);
-                }
-            }
-        }
-    }
-    segs.sort();
-    let victim = segs.last().expect("follower has segments");
-    let mut bytes = std::fs::read(victim).expect("read victim");
-    bytes.extend_from_slice(b"{\"key\":\"torn-mid-append");
-    std::fs::write(victim, &bytes).expect("tear victim");
-
-    let reports = sync_store(leader, follower).expect("resync");
-    let repaired: u64 = reports.iter().map(|r| r.repaired_bytes).sum();
-    let healed =
-        store_digest(leader).expect("leader digest") == store_digest(follower).expect("follower");
-    (initial, healed, repaired)
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let cfg = Config::new(smoke);
     let dir = tmpdir("store");
-    let follower = tmpdir("follower");
 
     let store = ShardedStore::open(&dir, SHARDS, CodeFingerprint::current(), OnStale::Invalidate)
         .expect("open store");
@@ -554,11 +515,6 @@ fn main() {
     );
 
     server.stop();
-    let (repl_initial, repl_healed, repaired_bytes) = replication_phase(&dir, &follower);
-    eprintln!(
-        "replication: initial match {repl_initial}, torn-tail healed {repl_healed} \
-         ({repaired_bytes} byte(s) repaired)"
-    );
 
     let total = (conc_ok + conc_errors + load.ok + load.errors + pipe.ok + pipe.errors) as f64;
     let error_rate = (conc_errors + load.errors + pipe.errors) as f64 / total.max(1.0);
@@ -566,9 +522,7 @@ fn main() {
         && conc_ok == cfg.clients as u64
         && load.p99_ms <= P99_LIMIT_MS
         && pipe.p99_ms <= P99_LIMIT_MS
-        && error_rate <= ERROR_RATE_LIMIT
-        && repl_initial
-        && repl_healed;
+        && error_rate <= ERROR_RATE_LIMIT;
 
     let json = format!(
         "{{\n  \"config\": {{\"smoke\": {smoke}, \"shards\": {SHARDS}, \"workers\": {WORKERS}, \
@@ -582,13 +536,11 @@ fn main() {
          \x20 \"pipelined\": {{\"requests\": {preqs}, \"ok\": {pok}, \"errors\": {perr}, \
          \"connections\": {senders}, \"p50_ms\": {pp50:.2}, \"p95_ms\": {pp95:.2}, \
          \"p99_ms\": {pp99:.2}, \"elapsed_s\": {pels:.2}}},\n\
-         \x20 \"replication\": {{\"initial_match\": {repl_initial}, \
-         \"torn_tail_healed\": {repl_healed}, \"repaired_bytes\": {repaired_bytes}}},\n\
          \x20 \"acceptance\": {{\"min_concurrent_clients\": {clients}, \
          \"concurrent_clients\": {active}, \"p99_limit_ms\": {p99lim:.1}, \"p99_ms\": {p99:.2}, \
          \"p99_pipelined_ms\": {pp99:.2}, \
          \"error_rate_limit\": {errlim:.4}, \"error_rate\": {errate:.4}, \
-         \"replication_digest_match\": {repl_both}, \"pass\": {pass}}}\n}}\n",
+         \"pass\": {pass}}}\n}}\n",
         clients = cfg.clients,
         rate = cfg.rate_hz,
         secs = cfg.seconds,
@@ -610,14 +562,12 @@ fn main() {
         p99lim = P99_LIMIT_MS,
         errlim = ERROR_RATE_LIMIT,
         errate = error_rate,
-        repl_both = repl_initial && repl_healed,
     );
     std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");
     println!("{json}");
     eprintln!("wrote BENCH_serve.json (serve gates: {})", if pass { "PASS" } else { "FAIL" });
 
     let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&follower);
     if !pass {
         std::process::exit(1);
     }

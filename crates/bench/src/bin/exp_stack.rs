@@ -7,12 +7,12 @@
 //!
 //! 1. **Measure** the topology's `(γ̂, δ̂)` by routing random h-relations
 //!    (§5), then round them into a valid LogP quadruple `(p, L̂, 1, Ĝ)`.
-//! 2. **Abstract run** — the guest over the pure latency-`L̂` medium
-//!    (`Stacked<LogpSpec, PolicyMedium>`): the LogP model's account.
-//! 3. **Grounded run** — the *same* guest over the network-backed medium
-//!    (`Stacked<LogpSpec, NetMedium>`): per-link store-and-forward
-//!    contention on the real topology. The ratio `grounded/abstract` is how
-//!    faithfully LogP(`Ĝ`, `L̂`) abstracts this network for this traffic.
+//! 2. **Abstract run** — the guest on a `LogpMachine` over the pure
+//!    latency-`L̂` medium (`PolicyMedium`): the LogP model's account.
+//! 3. **Grounded run** — the *same* guest with its medium set to the
+//!    network-backed `NetMedium`: per-link store-and-forward contention on
+//!    the real topology. The ratio `grounded/abstract` is how faithfully
+//!    LogP(`Ĝ`, `L̂`) abstracts this network for this traffic.
 //! 4. **Hosted run** — the guest simulated on a BSP(`g=Ĝ`, `ℓ=L̂`) machine
 //!    (Theorem 1). The measured slowdown is compared against the theorem's
 //!    `1 + g/Ĝ + ℓ/L̂` bound evaluated at the measured parameters.
@@ -20,10 +20,11 @@
 //! The tower lives in [`bvl_bench::labexp::stack`]; the grid is declared
 //! only in `scenarios/stack.scn` and runs through the `bvl-lab` scheduler
 //! (cached when `BVL_LAB_DIR` is set; the butterfly cell is forced so its
-//! registry carries real spans for `--trace-out`). One `SUMMARY` line per
-//! topology, rebuilt from the cached row so warm and cold runs are
-//! bit-identical. The completed grid passes the Theorem 1 lower-bound
-//! audit before printing. Run via `scripts/regen_experiments.sh` or:
+//! registry carries real spans for `--trace-out`; `--shards <n>` sets the
+//! grid's shard count before it runs). One `SUMMARY` line per topology,
+//! rebuilt from the cached row so warm and cold runs are bit-identical.
+//! The completed grid passes the Theorem 1 lower-bound audit before
+//! printing. Run via `scripts/regen_experiments.sh` or:
 //!
 //! ```sh
 //! cargo run --release -p bvl-bench --bin exp_stack
@@ -35,14 +36,18 @@ use bvl_bench::{obs, scn};
 fn main() {
     println!("E-STACK: LogP guest over measured Table 1 networks (abstract vs grounded vs Theorem 1)");
     let lab = labexp::Lab::from_env();
-    let scenario = scn::compiled("stack", false);
+    let mut scenario = scn::compiled("stack", false);
+    // Cells inherit the process-wide `--shards` flag; the tower itself
+    // reads no process arguments, so `lab` computes the same rows.
+    let grid = &mut scenario.grids[0];
+    grid.spec.opts = grid.spec.opts.clone().shards(bvl_obs::cli::shards());
 
     // Two Table 1 rows with equal processor counts (p = 32): the multi-port
     // hypercube (γ = Θ(1), δ = Θ(log p)) and the butterfly (γ = δ = Θ(log p)).
     // The forced butterfly cell attaches this registry so `--trace-out`
     // exports the grounded/hosted span stream.
     let registry = obs::capture_registry("exp_stack", 0, stack::FLAGGED_P);
-    let (rep, _) = scn::run_in_lab(&lab, &scenario.grids[0], Some(&registry));
+    let (rep, _) = scn::run_in_lab(&lab, grid, Some(&registry));
     eprintln!("[sweep] stack: {}", rep.summary());
 
     for rows in &rep.rows {

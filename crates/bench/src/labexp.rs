@@ -692,8 +692,8 @@ pub mod stack {
 
     use super::*;
     use crate::f3;
-    use bvl_exec::RunStack;
-    use bvl_logp::{DeliveryPolicy, LogpSpec, PolicyMedium};
+    use bvl_exec::Medium;
+    use bvl_logp::{DeliveryPolicy, PolicyMedium};
     use bvl_net::{measure_parameters, NetMedium, RouterConfig, Topology};
     use bvl_scenario::Net;
 
@@ -734,7 +734,15 @@ pub mod stack {
         let g_hat = (measured.gamma.round() as u64).max(2);
         let l_hat = (measured.delta.round() as u64).max(g_hat);
         let params = LogpParams::new(p, l_hat, 1, g_hat).expect("measured params valid");
-        let opts = opts.clone().shards(bvl_obs::cli::shards());
+        // The ring guest on the LogP machine over a medium. The options
+        // supply the policy seed too, so a run replays from them alone.
+        let run_over = |medium: Box<dyn Medium + Send>, opts: &RunOptions| {
+            let config = LogpConfig { seed: opts.seed, ..LogpConfig::default() };
+            let mut machine = LogpMachine::with_config(params, config, ring(p, rounds));
+            machine.set_medium(medium);
+            machine.instrument(opts);
+            machine.run().expect("ring guest completes")
+        };
         // The registry attaches to the grounded and hosted legs only, never
         // the abstract account — the stall-free guest contributes no spans.
         let observed = match captured {
@@ -743,21 +751,17 @@ pub mod stack {
         };
 
         // 2. The abstract LogP account of the workload.
-        let abstract_run = LogpSpec::new(params, ring(p, rounds))
-            .over(PolicyMedium::new(params, DeliveryPolicy::AtLatencyBound))
-            .run_stack(&opts)
-            .expect("abstract stack completes");
-        let t_abstract = abstract_run.report.makespan;
+        let abstract_medium = PolicyMedium::new(params, DeliveryPolicy::AtLatencyBound);
+        let abstract_run = run_over(Box::new(abstract_medium), opts);
+        let t_abstract = abstract_run.makespan;
 
         // 3. The same guest grounded on the network: per-link
         //    store-and-forward contention on the real topology.
-        let grounded_run = LogpSpec::new(params, ring(p, rounds))
-            .over(NetMedium::new(topo.clone(), params.capacity()))
-            .run_stack(&observed)
-            .expect("grounded stack completes");
-        let t_grounded = grounded_run.report.makespan;
+        let grounded_medium = NetMedium::new(topo.clone(), params.capacity());
+        let grounded_run = run_over(Box::new(grounded_medium), &observed);
+        let t_grounded = grounded_run.makespan;
         assert_eq!(
-            grounded_run.report.delivered, abstract_run.report.delivered,
+            grounded_run.delivered, abstract_run.delivered,
             "both transports deliver the full workload"
         );
 

@@ -4,7 +4,7 @@ use crate::cost::{CostLedger, SuperstepRecord};
 use crate::params::{BspConfig, BspParams};
 use crate::process::BspProcess;
 use crate::report::{BspReport, SuperstepProfile};
-use bvl_exec::{drive, Executor, Instruments, RunOptions, RunOutcome, ShardPlan};
+use bvl_exec::{drive, Executor, Instruments, RunOptions, RunOutcome};
 use bvl_model::trace::{Event, Trace};
 use bvl_model::{Envelope, ModelError, MsgId, Payload, ProcId, Steps};
 use bvl_obs::{Counter, CounterBlock, Hist, Span, SpanKind};
@@ -63,7 +63,6 @@ pub struct BspMachine<P: BspProcess> {
     settled: Vec<(u64, u64, u64)>, // (local_ops, sent, received)
     superstep: u64,
     threads: usize,
-    shards: usize,
     stream: Option<u64>,
 }
 
@@ -95,7 +94,6 @@ impl<P: BspProcess> BspMachine<P> {
             settled: Vec::new(),
             superstep: 0,
             threads: 1,
-            shards: 1,
             stream: None,
         }
     }
@@ -104,15 +102,6 @@ impl<P: BspProcess> BspMachine<P> {
     /// and costs are identical for every `n`; see [`crate::parallel`].
     pub fn set_threads(&mut self, n: usize) {
         self.threads = n.max(1);
-    }
-
-    /// Fan the communication phase out over `n` destination-partitioned
-    /// worker shards (default 1). A message's id is its position in the
-    /// superstep's `(sender, submission)` order and per-inbox push order is
-    /// preserved, so results and traces are bit-identical for every `n`
-    /// (DESIGN.md §13).
-    pub fn set_shards(&mut self, n: usize) {
-        self.shards = n.max(1);
     }
 
     /// The machine parameters.
@@ -148,7 +137,6 @@ impl<P: BspProcess> BspMachine<P> {
             Vec::new()
         };
         self.threads = opts.threads.max(1);
-        self.shards = self.shards.max(opts.shards);
         // Pseudo-streaming: charge each h-relation in ⌈h/window⌉ rounds.
         self.stream = opts.stream;
     }
@@ -271,16 +259,7 @@ impl<P: BspProcess> BspMachine<P> {
     /// a one-at-a-time allocation in that order hands out. Arrivals are
     /// counted before the first push and each inbox is reserved for them
     /// (see [`reserve_arrivals`]), so a steady exchange reuses every buffer.
-    ///
-    /// With `shards > 1` the destinations are partitioned across worker
-    /// threads. Each shard owns a contiguous block of inboxes, scans the
-    /// whole sequence and keeps only the messages bound for its block, so
-    /// each inbox receives exactly the sequence the sequential drain
-    /// pushes. Submit events are traced in one pass beforehand, so the
-    /// trace, the ids and the inbox contents are bit-identical at any shard
-    /// count.
     fn comm_phase(&mut self, sent: &[u64], recvd: &mut [u64]) {
-        let p = self.params.p;
         let now = self.ledger.total();
         let first = self.instruments.alloc_msg_id_block(sent.iter().sum()).0;
         for &(dst, _) in self.outboxes.iter().flatten() {
@@ -297,58 +276,20 @@ impl<P: BspProcess> BspMachine<P> {
                 });
             }
         }
-        if self.shards <= 1 || p < 2 {
-            for (inbox, &n) in self.inboxes.iter_mut().zip(recvd.iter()) {
-                reserve_arrivals(inbox, n as usize);
-            }
-            let msgs = self.outboxes.iter_mut().flat_map(|ob| ob.drain(..));
-            for (k, (src, (dst, payload))) in senders(sent).zip(msgs).enumerate() {
-                self.inboxes[dst.index()].push_back(Envelope {
-                    id: MsgId(first + k as u64),
-                    src,
-                    dst,
-                    payload,
-                    submitted: now,
-                    accepted: now,
-                    delivered: now,
-                });
-            }
-            return;
+        for (inbox, &n) in self.inboxes.iter_mut().zip(recvd.iter()) {
+            reserve_arrivals(inbox, n as usize);
         }
-        let plan = ShardPlan::new(p, self.shards);
-        let outboxes = &self.outboxes;
-        let mut inbox_rest: &mut [VecDeque<Envelope>] = &mut self.inboxes;
-        let mut recvd_rest: &[u64] = recvd;
-        std::thread::scope(|scope| {
-            for s in 0..plan.shards() {
-                let range = plan.range(s);
-                let (inboxes, it) = std::mem::take(&mut inbox_rest).split_at_mut(range.len());
-                let (arrivals, rt) = recvd_rest.split_at(range.len());
-                (inbox_rest, recvd_rest) = (it, rt);
-                scope.spawn(move || {
-                    for (inbox, &n) in inboxes.iter_mut().zip(arrivals) {
-                        reserve_arrivals(inbox, n as usize);
-                    }
-                    let msgs = outboxes.iter().flatten();
-                    for (k, (src, (dst, payload))) in senders(sent).zip(msgs).enumerate() {
-                        let d = dst.index();
-                        if range.contains(&d) {
-                            inboxes[d - range.start].push_back(Envelope {
-                                id: MsgId(first + k as u64),
-                                src,
-                                dst: *dst,
-                                payload: payload.clone(),
-                                submitted: now,
-                                accepted: now,
-                                delivered: now,
-                            });
-                        }
-                    }
-                });
-            }
-        });
-        for ob in &mut self.outboxes {
-            ob.clear();
+        let msgs = self.outboxes.iter_mut().flat_map(|ob| ob.drain(..));
+        for (k, (src, (dst, payload))) in senders(sent).zip(msgs).enumerate() {
+            self.inboxes[dst.index()].push_back(Envelope {
+                id: MsgId(first + k as u64),
+                src,
+                dst,
+                payload,
+                submitted: now,
+                accepted: now,
+                delivered: now,
+            });
         }
     }
 
@@ -370,8 +311,8 @@ impl<P: BspProcess> BspMachine<P> {
         }
         // Phase-granular sampling: this engine emits every span of a
         // superstep at its barrier, so one admission decision (keyed on the
-        // superstep index — shard- and thread-invariant) covers the whole
-        // burst, and a rejected superstep never constructs a span at all.
+        // superstep index — thread-invariant) covers the whole burst, and a
+        // rejected superstep never constructs a span at all.
         if spans_on && registry.admits_phase(rec.index) {
             for (i, &w_i) in w_of.iter().enumerate() {
                 let proc = ProcId::from(i);
@@ -639,60 +580,6 @@ mod tests {
         assert!(m.step().is_some());
         assert!(m.step().is_none());
         assert!(m.all_halted());
-    }
-
-    #[test]
-    fn sharded_comm_phase_is_bit_identical() {
-        // Dense, uneven traffic: every processor sends to several others,
-        // with message ids and delivery order observable through the trace.
-        let build = |shards: usize| {
-            let params = BspParams::new(12, 2, 8).unwrap();
-            let config = BspConfig {
-                trace: true,
-                ..BspConfig::default()
-            };
-            let procs: Vec<FnProcess<i64>> = (0..12)
-                .map(|_| {
-                    FnProcess::new(0i64, move |acc, ctx| {
-                        let p = ctx.p();
-                        let me = ctx.me().index();
-                        if ctx.superstep_index() > 0 {
-                            while let Some(m) = ctx.recv() {
-                                *acc = acc.wrapping_mul(131) + m.payload.expect_word()
-                                    + m.id.0 as i64;
-                            }
-                        }
-                        if ctx.superstep_index() < 4 {
-                            for q in 0..(me % 4) {
-                                let dst = ProcId::from((me * 5 + q * 3 + 1) % p);
-                                ctx.send(dst, Payload::word(0, (me * 100 + q) as i64));
-                            }
-                            Status::Continue
-                        } else {
-                            Status::Halt
-                        }
-                    })
-                })
-                .collect();
-            let mut m = BspMachine::with_config(params, config, procs);
-            m.set_shards(shards);
-            m
-        };
-        let mut solo = build(1);
-        let rep1 = solo.run(10).unwrap();
-        for shards in [2, 4, 5] {
-            let mut m = build(shards);
-            let rep = m.run(10).unwrap();
-            assert_eq!(rep.cost, rep1.cost);
-            assert_eq!(
-                format!("{:?}", m.trace().events()),
-                format!("{:?}", solo.trace().events()),
-                "trace diverged at {shards} shards"
-            );
-            for i in 0..12 {
-                assert_eq!(m.process(i).state(), solo.process(i).state());
-            }
-        }
     }
 
     #[test]

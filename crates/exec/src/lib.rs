@@ -5,7 +5,8 @@
 //! the workspace's engines interchangeable in code:
 //!
 //! * [`Executor`] — the run-loop contract (step / halt / uniform
-//!   [`RunOutcome`]), with [`drive`] as the one budget-enforcing loop.
+//!   [`RunOutcome`]) of the stepped engines (BSP machine, network router,
+//!   BSF machine), with [`drive`] as their one budget-enforcing loop.
 //! * [`RunOptions`] — the one way to parameterize a run (seed, trace,
 //!   registry, threads, clock base, budget), replacing positional-argument
 //!   growth and forked `*_obs` entry points.
@@ -17,10 +18,6 @@
 //!   fault-injection hook, carried by [`RunOptions::fault`]).
 //! * [`Phase`] — the shared same-instant event ordering
 //!   (deliver < submit < ready).
-//! * [`ShardPlan`] / [`Rendezvous`] — the partition and lock-step barrier
-//!   underneath the sharded big-`p` engines (DESIGN.md §13).
-//! * [`Stacked`] / [`RunStack`] — guest-over-host composition, the
-//!   paper's theorems as a combinator.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,12 +26,8 @@ mod medium;
 mod options;
 mod outcome;
 mod phase;
-mod shard;
-mod stacked;
 
 pub use medium::{wrap_medium, Medium, StreamMedium, WrapMedium};
 pub use options::{Instruments, RunOptions};
 pub use outcome::{drive, Executor, RunOutcome};
 pub use phase::Phase;
-pub use shard::{Rendezvous, ShardPlan};
-pub use stacked::{MediumGuest, RunStack, Stacked};

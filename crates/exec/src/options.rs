@@ -43,8 +43,8 @@ pub struct RunOptions {
     pub obs_tier: Tier,
     /// Worker threads for engines with a parallel local phase (BSP).
     pub threads: usize,
-    /// Shards for engines that partition the simulated machine itself
-    /// across worker threads (the big-`p` engines). Like `threads`, shard
+    /// Shards for the LogP engine, which partitions the simulated machine
+    /// itself across worker threads (DESIGN.md §13). Like `threads`, shard
     /// count is determinism-invariant by contract: results and traces are
     /// bit-identical at any shard count.
     pub shards: usize,
@@ -127,8 +127,8 @@ impl RunOptions {
         self
     }
 
-    /// Set the shard count for engines that partition processor state
-    /// across worker threads.
+    /// Set the shard count for the LogP engine, which partitions processor
+    /// state across worker threads.
     #[must_use]
     pub fn shards(mut self, shards: usize) -> RunOptions {
         self.shards = shards.max(1);
@@ -208,12 +208,11 @@ impl RunOptions {
     /// everything else default. Phase drivers (CB passes, sorting rounds,
     /// routing cycles) run many short-lived machines whose registries,
     /// budgets and clock bases are managed by the driver itself — only the
-    /// adversary, the seed, the streaming window, the shard count and the
-    /// observability tier
-    /// propagate down (shards are result-invariant, so propagating them is
-    /// pure parallelism; the tier caps whatever registry the driver
-    /// attaches, so a run observed at `counters` does not re-widen in its
-    /// sub-phases).
+    /// adversary, the seed, the streaming window, the LogP shard count and
+    /// the observability tier propagate down (shards are result-invariant,
+    /// so propagating them is pure parallelism; the tier caps whatever
+    /// registry the driver attaches, so a run observed at `counters` does
+    /// not re-widen in its sub-phases).
     pub fn subphase(&self) -> RunOptions {
         RunOptions {
             seed: self.seed,

@@ -2,10 +2,10 @@
 //!
 //! An [`Executor`] is "a machine that runs programs": anything that can be
 //! advanced one unit of work at a time, asked whether it has finished, and
-//! asked for a uniform [`RunOutcome`]. The LogP machine (unit = one timeline
-//! event), the BSP machine (unit = one superstep), and the network router
-//! (unit = one synchronous routing step) all implement it, so drivers,
-//! budget enforcement, and stacked simulations can treat them uniformly.
+//! asked for a uniform [`RunOutcome`]. The BSP machine (unit = one
+//! superstep), the network router (one synchronous routing step) and the
+//! BSF machine (`bvl-workloads`, one iteration) implement it and run
+//! through [`drive`]; the LogP machine runs its own elected-instant loop.
 
 use bvl_model::{ModelError, Steps};
 
@@ -44,9 +44,9 @@ pub trait Executor {
 
 /// Drive an executor to quiescence under a step budget.
 ///
-/// This is the one run loop in the workspace: every engine's `run` method
-/// delegates here, so budget semantics ([`ModelError::Timeout`] when the
-/// budget is exhausted with work remaining) are identical everywhere.
+/// The one run loop of the stepped engines: each one's `run` delegates
+/// here, so budget semantics ([`ModelError::Timeout`] when the budget is
+/// exhausted with work remaining) are identical across them.
 pub fn drive<E: Executor + ?Sized>(exec: &mut E, budget: u64) -> Result<RunOutcome, ModelError> {
     let mut steps: u64 = 0;
     loop {

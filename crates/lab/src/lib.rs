@@ -26,10 +26,6 @@
 //! * [`shard`] — the scale-out layer: [`shard::ShardedStore`] routes each
 //!   cell to one of N independent store shards by a pure function of its
 //!   content digest, so shard count never changes what a grid computes.
-//! * [`replica`] — op-log replication: a follower replays the leader's
-//!   segment logs byte-for-byte behind a `(segment, offset, records)`
-//!   cursor, repairs crash-torn tails, and proves itself bit-identical
-//!   via a content digest over the live cells.
 //! * [`http`] — the front end: a std-only nonblocking HTTP/1.1 JSON
 //!   endpoint (`GET /cells`, `GET /status`, `GET /metrics`, `POST /run`)
 //!   on an [`epoll`] event loop with a bounded worker pool for runs, plus
@@ -46,14 +42,12 @@ pub mod epoll;
 pub mod fingerprint;
 pub mod http;
 pub mod jsonio;
-pub mod replica;
 pub mod scheduler;
 pub mod shard;
 pub mod store;
 
 pub use fingerprint::{cell_key, CodeFingerprint, Digest};
 pub use http::{serve, Experiment, ScenarioError, ScenarioRunner, Server, Service};
-pub use replica::{dir_digest, repair_dir, store_digest, sync_store, ReplicaCursor, SyncReport};
 pub use scheduler::{run_grid, CellSpec, GridReport, GridSpec, Job};
 pub use shard::{shard_count_of, shard_of, ShardedStore};
 pub use store::{Cell, GcReport, OnStale, Store};

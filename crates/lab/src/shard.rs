@@ -34,7 +34,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 
 /// On-disk shard-manifest format version.
-pub const SHARDS_FORMAT: u32 = 1;
+const SHARDS_FORMAT: u32 = 1;
 
 /// The shard a key routes to: a pure function of the key's leading 64-bit
 /// digest lane and the shard count. Keys are 32-hex-digit cell addresses;
@@ -113,7 +113,7 @@ pub fn shard_count_of(dir: &Path) -> io::Result<usize> {
 
 /// The shard subdirectory for shard `i` of `n` under `dir` (the directory
 /// itself when `n == 1` — the legacy layout).
-pub fn shard_dir(dir: &Path, i: usize, n: usize) -> PathBuf {
+fn shard_dir(dir: &Path, i: usize, n: usize) -> PathBuf {
     if n <= 1 {
         dir.to_path_buf()
     } else {
@@ -227,13 +227,6 @@ impl ShardedStore {
     /// Root directory of the sharded store.
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// The shard subdirectories, in shard order.
-    pub fn shard_dirs(&self) -> Vec<PathBuf> {
-        (0..self.shards.len())
-            .map(|i| shard_dir(&self.dir, i, self.shards.len()))
-            .collect()
     }
 
     /// The code fingerprint this store writes under.

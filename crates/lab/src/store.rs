@@ -488,9 +488,7 @@ impl Store {
     }
 
     /// Number of segment files, as [`Store::segments`] would list them,
-    /// without touching the directory. Replication writes segments
-    /// behind an open store's back; a store reopened after a sync counts
-    /// them again.
+    /// without touching the directory.
     pub(crate) fn segment_count(&self) -> usize {
         self.segment_count
     }

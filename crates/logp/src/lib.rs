@@ -30,7 +30,7 @@ pub mod params;
 pub mod policy;
 pub mod process;
 pub mod reference;
-pub mod stack;
+mod shard;
 pub mod timeline;
 pub mod validate;
 
@@ -39,5 +39,4 @@ pub use metrics::{LogpReport, ProcStats};
 pub use params::LogpParams;
 pub use policy::{AcceptOrder, DeliveryPolicy, LogpConfig, PolicyMedium};
 pub use process::{FnLogpProcess, LogpProcess, Op, ProcView, Script};
-pub use stack::{LogpSpec, StackReport, StackedLogp};
 pub use timeline::{Timeline, TimelineKind};

@@ -26,11 +26,11 @@
 //!
 //! # Sharded execution (DESIGN.md §13)
 //!
-//! The machine is partitioned into [`ShardPlan`] blocks of processors, one
+//! The machine is partitioned into `ShardPlan` blocks of processors, one
 //! `Shard` per worker thread, each owning the struct-of-arrays state and
 //! bucketed timeline of its processors. All shards advance through the same
 //! sequence of elected instants in lock-step; within an instant they run
-//! the arrival → notify → ready sub-phases separated by [`Rendezvous`]
+//! the arrival → notify → ready sub-phases separated by `Rendezvous`
 //! barriers, exchanging cross-shard submissions and acceptance/stall
 //! notifications at the boundaries. Every cross-shard batch is consumed in
 //! a canonical order (sorted by the unique source / processor id), every
@@ -38,16 +38,17 @@
 //! a stable sort, and per-destination RNG lanes replace the single machine
 //! RNG — so results and traces are **bit-identical at any shard count**,
 //! including `shards = 1`, which runs the same code path on the calling
-//! thread with the barriers short-circuited.
+//! thread with the barriers short-circuited. [`LogpMachine::run`] is the
+//! one way to execute a machine: it runs the elected instants to
+//! quiescence, and nothing steps a machine one instant at a time.
 
 use crate::metrics::{LogpReport, ProcStats};
 use crate::params::LogpParams;
 use crate::policy::{AcceptOrder, LogpConfig, PolicyMedium};
 use crate::process::{LogpProcess, Op, ProcView};
+use crate::shard::{Rendezvous, ShardPlan};
 use crate::timeline::Timeline;
-use bvl_exec::{
-    Executor, Instruments, Medium, Phase, Rendezvous, RunOptions, RunOutcome, ShardPlan,
-};
+use bvl_exec::{Instruments, Medium, Phase, RunOptions};
 use bvl_model::rngutil::SeedStream;
 use bvl_model::stats::Accumulator;
 use bvl_model::trace::{Event, Trace};
@@ -254,13 +255,6 @@ enum Decision {
     Fail,
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Round {
-    Ran,
-    Quiesced,
-    Failed,
-}
-
 /// The cross-shard coordinator: the lock-step barrier, per-shard inboxes,
 /// and the election state. With a single party every barrier and inbox
 /// access short-circuits, so the solo engine pays one uncontended mutex
@@ -359,11 +353,6 @@ impl Hub {
         if self.parties > 1 && self.rv.arrive() {
             self.rv.release();
         }
-    }
-
-    /// Total events processed so far (exact between rounds).
-    fn events(&self) -> u64 {
-        self.offer.lock().unwrap().events
     }
 
     /// Take the terminal error, if the run failed.
@@ -556,14 +545,15 @@ impl<P: LogpProcess> Shard<P> {
 
     /// Run rounds until the party quiesces or fails.
     fn work(&mut self, hub: &Hub) {
-        while self.instant(hub) == Round::Ran {}
+        while self.instant(hub) {}
     }
 
     /// One elected round: elect → arrival → (barrier) → notify → ready →
     /// (barrier) → inbox drain. A shard that has failed still arrives at
     /// every barrier (skipping the work) so the party stays in lock-step
     /// until the next election delivers the Fail verdict to everyone.
-    fn instant(&mut self, hub: &Hub) -> Round {
+    /// Returns `false` once the party has quiesced or failed.
+    fn instant(&mut self, hub: &Hub) -> bool {
         let local_next = if self.initial_polled {
             self.timeline.next_time()
         } else {
@@ -572,8 +562,7 @@ impl<P: LogpProcess> Shard<P> {
         let decision = hub.elect(local_next, self.error.take(), mem::take(&mut self.events));
         let t = match decision {
             Decision::Run(t) => t,
-            Decision::Quiesce => return Round::Quiesced,
-            Decision::Fail => return Round::Failed,
+            Decision::Quiesce | Decision::Fail => return false,
         };
         self.now = t;
         self.timeline.advance_to(t);
@@ -598,7 +587,7 @@ impl<P: LogpProcess> Shard<P> {
         hub.barrier();
         self.drain_inbox(hub);
         self.flush_span_ring();
-        Round::Ran
+        true
     }
 
     /// Deferred serialization: at the end-of-round barrier, batch-move the
@@ -1112,14 +1101,6 @@ impl<P: LogpProcess> Shard<P> {
     }
 }
 
-/// The solo stepping core backing [`Executor::step`]: one shard, a
-/// single-party hub, and a done latch.
-struct SoloCore<P: LogpProcess> {
-    shard: Shard<P>,
-    hub: Hub,
-    done: bool,
-}
-
 /// A LogP machine holding `p` processes of type `P`.
 pub struct LogpMachine<P: LogpProcess> {
     params: LogpParams,
@@ -1132,9 +1113,7 @@ pub struct LogpMachine<P: LogpProcess> {
     makespan: Steps,
     delivered: u64,
     duplicates_dropped: u64,
-    events_processed: u64,
     started: bool,
-    engine: Option<Box<SoloCore<P>>>,
 }
 
 impl<P: LogpProcess> LogpMachine<P> {
@@ -1160,9 +1139,7 @@ impl<P: LogpProcess> LogpMachine<P> {
             makespan: Steps::ZERO,
             delivered: 0,
             duplicates_dropped: 0,
-            events_processed: 0,
             started: false,
-            engine: None,
         }
     }
 
@@ -1308,7 +1285,6 @@ impl<P: LogpProcess> LogpMachine<P> {
     /// Returns the run's terminal error, if any.
     fn absorb(&mut self, shards: &mut [Shard<P>], hub: &Hub) -> Option<ModelError> {
         self.programs = shards.iter_mut().flat_map(|s| s.programs.drain(..)).collect();
-        self.events_processed = hub.events();
         self.makespan = shards[0].now;
         self.delivered = shards.iter().map(|s| s.delivered).sum();
         self.duplicates_dropped = shards.iter().map(|s| s.duplicates_dropped).sum();
@@ -1385,75 +1361,6 @@ impl<P: LogpProcess> LogpMachine<P> {
             }
         }
         Ok(report)
-    }
-}
-
-impl<P: LogpProcess> Executor for LogpMachine<P> {
-    /// Advance one *instant* (one elected round of the engine). Stepping
-    /// always runs solo — sub-instant interleaving across shards has no
-    /// serial equivalent — and produces results identical to [`run`] minus
-    /// the final deadlock check (quiescing via `Ok(false)` mirrors the
-    /// historical event-pop contract).
-    ///
-    /// [`run`]: LogpMachine::run
-    fn step(&mut self) -> Result<bool, ModelError> {
-        if self.engine.is_none() {
-            assert!(!self.started, "step() after run()");
-            self.started = true;
-            let plan = ShardPlan::new(self.params.p, 1);
-            let spec = self.spec(plan);
-            let medium = self.take_medium();
-            let programs = mem::take(&mut self.programs);
-            self.engine = Some(Box::new(SoloCore {
-                shard: Shard::new(&spec, 0, medium, programs),
-                hub: Hub::new(1, self.config.max_events),
-                done: false,
-            }));
-        }
-        let mut engine = self.engine.take().expect("just installed");
-        let result = if engine.done {
-            Ok(false)
-        } else {
-            match engine.shard.instant(&engine.hub) {
-                Round::Ran => {
-                    self.makespan = engine.shard.now;
-                    self.delivered = engine.shard.delivered;
-                    self.events_processed = engine.hub.events() + engine.shard.events;
-                    Ok(true)
-                }
-                Round::Quiesced => {
-                    engine.done = true;
-                    let err = self.absorb(std::slice::from_mut(&mut engine.shard), &engine.hub);
-                    debug_assert!(err.is_none(), "quiesced round carried an error");
-                    Ok(false)
-                }
-                Round::Failed => {
-                    engine.done = true;
-                    let err = self.absorb(std::slice::from_mut(&mut engine.shard), &engine.hub);
-                    Err(err.expect("failed round carries an error"))
-                }
-            }
-        };
-        self.engine = Some(engine);
-        result
-    }
-
-    fn halted(&self) -> bool {
-        match &self.engine {
-            Some(engine) => {
-                engine.done || (engine.shard.initial_polled && engine.shard.timeline.is_empty())
-            }
-            None => self.started,
-        }
-    }
-
-    fn outcome(&self) -> RunOutcome {
-        RunOutcome {
-            makespan: self.makespan,
-            delivered: self.delivered,
-            work: self.events_processed,
-            halted: self.halted(),
-        }
     }
 }
 
@@ -1553,6 +1460,23 @@ mod tests {
             Err(ModelError::Deadlock { waiting }) => assert_eq!(waiting, vec![ProcId(0)]),
             other => panic!("expected deadlock, got {other:?}"),
         }
+    }
+
+    /// `instrument` applies `RunOptions::budget`: the hot-spot run that
+    /// completes under the engine's default budget times out at the
+    /// options' smaller one.
+    #[test]
+    fn budget_from_options_bounds_the_run() {
+        let params = LogpParams::new(5, 4, 1, 2).unwrap();
+        let programs = || {
+            let mut programs = vec![Script::new(vec![Op::Recv; 4])];
+            programs.extend((1..5).map(|i| Script::new([send(0, i as i64)])));
+            programs
+        };
+        assert!(LogpMachine::new(params, programs()).run().is_ok());
+        let mut m = LogpMachine::new(params, programs());
+        m.instrument(&RunOptions::new().budget(5));
+        assert!(matches!(m.run(), Err(ModelError::Timeout { budget: 5 })));
     }
 
     #[test]
@@ -1896,19 +1820,5 @@ mod shard_tests {
                 "expected timeout at {shards} shards"
             );
         }
-    }
-
-    /// `Executor::step` (one instant per call) reaches the same terminal
-    /// state as `run`.
-    #[test]
-    fn stepping_matches_run() {
-        let p = 5;
-        let params = LogpParams::new(p, 4, 1, 2).unwrap();
-        let mut stepped = LogpMachine::with_config(params, LogpConfig::traced(), hot_spot(p));
-        while stepped.step().unwrap() {}
-        assert!(stepped.halted());
-        let (_, trace1) = run_sharded(p, 1, LogpConfig::default(), hot_spot(p));
-        assert_eq!(format!("{:?}", stepped.trace().events()), trace1);
-        assert_eq!(stepped.outcome().makespan, Steps(12));
     }
 }

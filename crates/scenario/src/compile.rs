@@ -18,6 +18,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use bvl_exec::RunOptions;
+use bvl_lab::jsonio::clip;
 use bvl_lab::{CellSpec, CodeFingerprint, GridSpec};
 use bvl_model::Steps;
 
@@ -98,7 +99,7 @@ pub fn compile(doc: &ScenarioDoc, smoke: bool) -> Result<CompiledScenario, Compi
                 return Err(CompileError(format!(
                     "grid '{}' cell {index}: forced cells cannot run in smoke \
                      (forced means live + registry-captured; smoke grids must be cacheable)",
-                    grid.exp
+                    clip(&grid.exp)
                 )));
             }
             let domain = cell
@@ -108,7 +109,7 @@ pub fn compile(doc: &ScenarioDoc, smoke: bool) -> Result<CompiledScenario, Compi
                 .ok_or_else(|| {
                     CompileError(format!(
                         "grid '{}' cell {index}: no domain (set grid domain= or cell domain=)",
-                        grid.exp
+                        clip(&grid.exp)
                     ))
                 })?;
             let mut cs = CellSpec::new(domain, index, cell.params.clone());

@@ -205,3 +205,21 @@ fn errors_quote_a_huge_token_clipped() {
         assert!(text.len() < 1024, "{want:?}: {} B error", text.len());
     }
 }
+
+/// Compile errors reach clients the same way and quote the grid's name:
+/// a ~100 kB `exp=` draws a clipped error under 1 kB for a cell with no
+/// domain and for a forced cell in a smoke compile.
+#[test]
+fn compile_errors_quote_a_huge_grid_name_clipped() {
+    let grid = format!("scenario s\ngrid exp={} master=1", "x".repeat(100_000));
+    let cell = "cell stack net=hypercube:3 rounds=1 seed=1 params=\"x\"";
+    for (want, doc, smoke) in [
+        ("no domain", format!("{grid}\n{cell}\n"), false),
+        ("forced cells cannot", format!("{grid} domain=d\n{cell} smoke force\n"), true),
+    ] {
+        let text = compile(&parse(&doc).unwrap(), smoke).expect_err(want).to_string();
+        assert!(text.contains(want), "expected {want:?}, got {text:.200}");
+        assert!(text.contains('…'), "{want:?}: grid name not clipped: {text:.200}");
+        assert!(text.len() < 1024, "{want:?}: {} B error", text.len());
+    }
+}

@@ -20,9 +20,10 @@
 //!   against the classical one-shot relation.
 //! * [`bsf`] — the **BSF** (Bulk Synchronous Farm, Ezhova–Sokolinsky)
 //!   master-worker cost model as a third [`bvl_exec::Executor`] beside
-//!   BSP and LogP, with its closed-form predicted iteration time checked
-//!   against an event-wise simulation with compute/transfer overlap, plus
-//!   the model's speedup and scalability-boundary predictions.
+//!   the BSP machine and the network router, with its closed-form
+//!   predicted iteration time checked against an event-wise simulation
+//!   with compute/transfer overlap, plus the model's speedup and
+//!   scalability-boundary predictions.
 //!
 //! Everything here is deterministic under the workspace contract: given a
 //! seed, results are bit-identical at any thread or shard count.

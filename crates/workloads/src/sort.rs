@@ -147,9 +147,10 @@ pub fn ideal_sort_cost(cfg: &SortConfig) -> u64 {
 /// Run one cell of the study: the native BSP leg and the Theorem 2
 /// cross-simulation leg, both on the same deterministic keys.
 ///
-/// `opts` applies to the BSP leg in full (registry, threads, shards, the
-/// pseudo-streaming window); the cross-simulation leg takes its seed and
-/// fault decorator through [`RunOptions::subphase`] semantics.
+/// `opts` applies to the BSP leg in full (registry, threads, the
+/// pseudo-streaming window); the cross-simulation leg takes its seed,
+/// fault decorator and shard count through [`RunOptions::subphase`]
+/// semantics.
 pub fn run_sort(cfg: &SortConfig, opts: &RunOptions) -> Result<SortStudy, ModelError> {
     if cfg.p < 2 || !cfg.p.is_power_of_two() {
         return Err(ModelError::InvalidParams(

@@ -31,10 +31,10 @@
 # Skipped with a notice when no baseline is committed.
 #
 # Gate 5 checks the committed BENCH_serve.json records a passing serve
-# acceptance block (concurrent-client floor, p99, error rate, replication
-# digests), then re-runs `bench_serve --smoke` in a scratch directory —
-# the binary gates its own same-host acceptance and exits non-zero on
-# failure. Skipped with a notice when no baseline is committed.
+# acceptance block (concurrent-client floor, p99, error rate), then
+# re-runs `bench_serve --smoke` in a scratch directory — the binary gates
+# its own same-host acceptance and exits non-zero on failure. Skipped
+# with a notice when no baseline is committed.
 #
 # Gate 6 checks the committed BENCH_sort.json records a passing sample-
 # sort acceptance block (every cell sorted, cross-simulation under the
@@ -239,12 +239,11 @@ echo "lower-bound audit gate: PASS (BENCH_faults.json respects the proven bounds
 
 # Gate 5: the committed BENCH_serve.json must record a passing acceptance
 # block — in particular ≥ its own min_concurrent_clients floor held
-# simultaneously, p99 and error rate under the recorded limits, and the
-# replication digests matching. The committed wall-clock numbers belong to
-# another host, so nothing is diffed against them; instead `bench_serve
-# --smoke` re-proves the front end on this host in a scratch directory
-# (it gates its own same-host p99/error-rate/replication acceptance and
-# exits non-zero on failure). Skipped with a notice when no baseline is
+# simultaneously, and p99 and error rate under the recorded limits. The
+# committed wall-clock numbers belong to another host, so nothing is
+# diffed against them; instead `bench_serve --smoke` re-proves the front
+# end on this host in a scratch directory (it gates its own same-host
+# p99/error-rate acceptance and exits non-zero on failure). Skipped with a notice when no baseline is
 # committed.
 gate_5() {
 if [[ ! -f BENCH_serve.json ]]; then
@@ -270,8 +269,7 @@ if fail:
     sys.exit(1)
 print(f'PASS serve baseline: {held} concurrent clients (floor {floor}), '
       f'p99 {acc["p99_ms"]:.2f} ms (limit {acc["p99_limit_ms"]:.0f} ms), '
-      f'error rate {acc["error_rate"]:.4f} (limit {acc["error_rate_limit"]:.4f}), '
-      f'replication match {acc["replication_digest_match"]}')
+      f'error rate {acc["error_rate"]:.4f} (limit {acc["error_rate_limit"]:.4f})')
 PY
 
 serve_work="$work/serve"
