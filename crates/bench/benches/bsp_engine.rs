@@ -1,4 +1,5 @@
-//! Throughput of the BSP superstep engine, sequential vs multithreaded.
+//! Throughput of the BSP superstep engine on a ring whose process bodies
+//! spin through real local work each superstep.
 
 use bvl_bsp::{BspMachine, BspParams, FnProcess, Status};
 use bvl_model::{Payload, ProcId};
@@ -14,8 +15,8 @@ fn ring(p: usize, rounds: u64, work: u64) -> Vec<FnProcess<i64>> {
                     *acc += ctx.recv().map(|m| m.payload.expect_word()).unwrap_or(0);
                 }
                 if ctx.superstep_index() < rounds {
-                    // Real spinning so the multithreaded driver has
-                    // something to parallelize.
+                    // Real spinning: the local phase does work beside
+                    // the one send.
                     let mut x = *acc;
                     for i in 0..work {
                         x = x.wrapping_mul(6364136223846793005).wrapping_add(i as i64);
@@ -45,14 +46,6 @@ fn bench_bsp(c: &mut Criterion) {
             let params = BspParams::new(p, 2, 16).unwrap();
             b.iter(|| {
                 let mut m = BspMachine::new(params, ring(p, 8, 2000));
-                m.run(16).unwrap().cost
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("ring_4threads", p), &p, |b, &p| {
-            let params = BspParams::new(p, 2, 16).unwrap();
-            b.iter(|| {
-                let mut m = BspMachine::new(params, ring(p, 8, 2000));
-                m.set_threads(4);
                 m.run(16).unwrap().cost
             });
         });

@@ -37,6 +37,7 @@
 //! `event_queue` micro-bench writes one), its measurements are embedded
 //! under `"criterion"`.
 
+use bvl_exec::RunOptions;
 use bvl_lab::{run_grid, CellSpec, GridSpec};
 use bvl_logp::{
     LogpConfig, LogpMachine, LogpParams, LogpProcess, Op, ProcView, Script, TimelineKind,
@@ -298,10 +299,6 @@ const SCALING_ROUNDS: u32 = 4;
 /// allocation).
 fn ring_time_ms(p: usize, shards: usize) -> f64 {
     let params = LogpParams::new(p, 16, 1, 2).unwrap();
-    let config = LogpConfig {
-        shards,
-        ..LogpConfig::default()
-    };
     let procs = (0..p)
         .map(|i| RingProc {
             next: ProcId(((i + 1) % p) as u32),
@@ -309,7 +306,8 @@ fn ring_time_ms(p: usize, shards: usize) -> f64 {
             recv_pending: false,
         })
         .collect();
-    let mut m = LogpMachine::with_config(params, config, procs);
+    let mut m = LogpMachine::new(params, procs);
+    m.instrument(&RunOptions::new().shards(shards));
     let t0 = Instant::now();
     black_box(m.run().unwrap().makespan.get());
     t0.elapsed().as_secs_f64() * 1e3
@@ -376,11 +374,8 @@ fn smoke() -> i32 {
     for (name, p, build) in cases {
         let run = |shards: usize| {
             let params = LogpParams::new(p, 16, 1, 2).unwrap();
-            let config = LogpConfig {
-                shards,
-                ..LogpConfig::traced()
-            };
-            let mut m = LogpMachine::with_config(params, config, build());
+            let mut m = LogpMachine::with_config(params, LogpConfig::traced(), build());
+            m.instrument(&RunOptions::new().shards(shards));
             let report = m.run().unwrap();
             (report.makespan, format!("{:?}", m.trace().events()))
         };

@@ -81,7 +81,7 @@ fn main() {
     };
     let mut machine = LogpMachine::with_config(params, config, scripts);
     let registry = obs::capture_registry("exp_anomalies", 0, params.p);
-    machine.instrument(&RunOptions::new().shards(bvl_obs::cli::shards()).registry(&registry));
+    machine.instrument(&RunOptions::new().registry(&registry));
     let rep = machine.run().expect("burst completes");
     obs::Summary::new("exp_anomalies")
         .kv("cell", "gap1_burst_L16")

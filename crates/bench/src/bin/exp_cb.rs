@@ -23,7 +23,7 @@ fn cb_time(params: LogpParams, seed: u64) -> Steps {
         values,
         word_combine(|a, b| a & b),
         &joins,
-        &RunOptions::new().shards(bvl_obs::cli::shards()).seed(seed),
+        &RunOptions::new().seed(seed),
     )
     .expect("CB is stall-free")
     .t_cb
@@ -120,7 +120,7 @@ fn main() {
         vec![Payload::word(0, 1); params.p],
         word_combine(|a, b| a & b),
         &vec![Steps::ZERO; params.p],
-        &RunOptions::new().shards(bvl_obs::cli::shards()).seed(1),
+        &RunOptions::new().seed(1),
     )
     .expect("CB is stall-free");
     let registry = obs::capture_registry("exp_cb", 1, params.p);

@@ -119,7 +119,7 @@ fn main() {
     };
     let mut machine = LogpMachine::with_config(logp, config, scripts);
     let registry = obs::capture_registry("exp_partition", 0, 16);
-    machine.instrument(&RunOptions::new().shards(bvl_obs::cli::shards()).registry(&registry));
+    machine.instrument(&RunOptions::new().registry(&registry));
     let rep = machine.run().expect("tenant completes");
     obs::Summary::new("exp_partition")
         .kv("cell", "logp_heavy_tenant_p16")

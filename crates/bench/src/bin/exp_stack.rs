@@ -20,9 +20,9 @@
 //! The tower lives in [`bvl_bench::labexp::stack`]; the grid is declared
 //! only in `scenarios/stack.scn` and runs through the `bvl-lab` scheduler
 //! (cached when `BVL_LAB_DIR` is set; the butterfly cell is forced so its
-//! registry carries real spans for `--trace-out`; `--shards <n>` sets the
-//! grid's shard count before it runs). One `SUMMARY` line per topology,
-//! rebuilt from the cached row so warm and cold runs are bit-identical.
+//! registry carries real spans for `--trace-out`). One `SUMMARY` line per
+//! topology, rebuilt from the cached row so warm and cold runs are
+//! bit-identical.
 //! The completed grid passes the Theorem 1 lower-bound audit before
 //! printing. Run via `scripts/regen_experiments.sh` or:
 //!
@@ -36,11 +36,8 @@ use bvl_bench::{obs, scn};
 fn main() {
     println!("E-STACK: LogP guest over measured Table 1 networks (abstract vs grounded vs Theorem 1)");
     let lab = labexp::Lab::from_env();
-    let mut scenario = scn::compiled("stack", false);
-    // Cells inherit the process-wide `--shards` flag; the tower itself
-    // reads no process arguments, so `lab` computes the same rows.
-    let grid = &mut scenario.grids[0];
-    grid.spec.opts = grid.spec.opts.clone().shards(bvl_obs::cli::shards());
+    let scenario = scn::compiled("stack", false);
+    let grid = &scenario.grids[0];
 
     // Two Table 1 rows with equal processor counts (p = 32): the multi-port
     // hypercube (γ = Θ(1), δ = Θ(log p)) and the butterfly (γ = δ = Θ(log p)).

@@ -77,7 +77,7 @@ fn main() {
     };
     let mut machine = LogpMachine::with_config(params, config, scripts);
     let registry = obs::capture_registry("exp_stalling", 0, 16);
-    machine.instrument(&RunOptions::new().shards(bvl_obs::cli::shards()).registry(&registry));
+    machine.instrument(&RunOptions::new().registry(&registry));
     let rep = machine.run().expect("hot spot completes");
     obs::Summary::new("exp_stalling")
         .kv("cell", "hot_spot_15x8")

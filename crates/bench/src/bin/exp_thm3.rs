@@ -27,7 +27,7 @@ fn main() {
             for t in 0..trials {
                 let mut rng = seeds.derive("rel", (p * 100_000 + h * 100 + t) as u64);
                 let rel = HRelation::random_exact(&mut rng, p, h);
-                let rep = route_randomized(params, &rel, 2.0, &RunOptions::new().shards(bvl_obs::cli::shards()).seed(t as u64))
+                let rep = route_randomized(params, &rel, 2.0, &RunOptions::new().seed(t as u64))
                     .expect("routes");
                 if rep.stalled {
                     stalls += 1;
@@ -58,7 +58,7 @@ fn main() {
     for (senders, k) in [(8usize, 2usize), (15, 2), (15, 4), (15, 8)] {
         let rel = HRelation::hot_spot(16, ProcId(0), senders, k);
         let h = rel.degree() as u64;
-        let rep = route_randomized(params, &rel, 2.0, &RunOptions::new().shards(bvl_obs::cli::shards()).seed(5)).expect("routes");
+        let rep = route_randomized(params, &rel, 2.0, &RunOptions::new().seed(5)).expect("routes");
         rows.push(vec![
             format!("{senders}x{k}"),
             format!("{h}"),
@@ -80,7 +80,7 @@ fn main() {
     let mut rng = SeedStream::new(31).derive("flagged", 0);
     let rel = HRelation::random_exact(&mut rng, 16, 32);
     let registry = obs::capture_registry("exp_thm3", 31, 16);
-    let rep = route_randomized(params, &rel, 2.0, &RunOptions::new().shards(bvl_obs::cli::shards()).seed(7).registry(&registry))
+    let rep = route_randomized(params, &rel, 2.0, &RunOptions::new().seed(7).registry(&registry))
         .expect("routes");
     obs::Summary::new("exp_thm3")
         .kv("cell", "rand_p16_h32")

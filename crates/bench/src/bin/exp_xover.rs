@@ -29,10 +29,8 @@ fn main() {
     let params = LogpParams::new(p, 16, 1, 2).unwrap();
     let hs = [2usize, 8, 32, 98, 196, 392];
     let mut grid = GridSpec::new("xover", 77);
-    // Cells inherit the process-wide `--shards` and `--obs-tier` flags.
-    grid.opts = RunOptions::new()
-        .shards(bvl_obs::cli::shards())
-        .obs(bvl_obs::cli::obs_tier());
+    // Cells inherit the process-wide `--obs-tier` flag.
+    grid.opts = RunOptions::new().obs(bvl_obs::cli::obs_tier());
     for (i, h) in hs.iter().enumerate() {
         grid = grid.cell(CellSpec::new("xover", i, format!("h={h}")));
     }
@@ -93,7 +91,7 @@ fn main() {
         params,
         &rel,
         SortScheme::Columnsort,
-        &RunOptions::new().shards(bvl_obs::cli::shards()).seed(3).registry(&registry),
+        &RunOptions::new().seed(3).registry(&registry),
     )
     .expect("columnsort routes");
     obs::Summary::new("exp_xover")

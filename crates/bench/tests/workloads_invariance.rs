@@ -2,7 +2,7 @@
 //!
 //! The determinism contract extends to the new real-algorithm plane: an
 //! `exp_sort` or `exp_bsf` row is a function of its cell's parameters
-//! alone, bit-identical whatever `--shards` the engines run on and
+//! alone, bit-identical whatever `RunOptions::shards` the engines run at and
 //! whatever `RAYON_NUM_THREADS` the grid fans out over. (The sample-sort
 //! output correctness proptest lives with the workload itself, in
 //! `bvl_workloads::sort`.)
@@ -46,7 +46,7 @@ fn workload_rows_are_shard_and_thread_invariant() {
         assert_eq!(
             baseline,
             all_rows(shards),
-            "rows diverged at --shards {shards}"
+            "rows diverged at {shards} shards"
         );
     }
 

@@ -26,16 +26,15 @@
 //!   portability property §2.1 highlights, and tests assert it.
 //!
 //! Programs implement [`process::BspProcess`]; [`machine::BspMachine`] runs
-//! them sequentially, and [`parallel`] provides a multithreaded driver that
-//! produces bit-identical schedules (supersteps are data-parallel — the
-//! barrier is the only synchronization, mirroring the model itself).
+//! them one superstep at a time, each process's local phase in id order on
+//! the calling thread, so delivery order is `(sender id, submission order)`
+//! by construction.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cost;
 pub mod machine;
-pub mod parallel;
 pub mod params;
 pub mod process;
 pub mod report;

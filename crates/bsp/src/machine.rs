@@ -2,7 +2,7 @@
 
 use crate::cost::{CostLedger, SuperstepRecord};
 use crate::params::{BspConfig, BspParams};
-use crate::process::BspProcess;
+use crate::process::{BspProcess, Status, SuperstepCtx};
 use crate::report::{BspReport, SuperstepProfile};
 use bvl_exec::{drive, Executor, Instruments, RunOptions, RunOutcome};
 use bvl_model::trace::{Event, Trace};
@@ -45,11 +45,12 @@ pub struct BspMachine<P: BspProcess> {
     // Read in place by the local phase and refilled by the communication
     // phase: each keeps its buffer across supersteps.
     inboxes: Vec<VecDeque<Envelope>>,
-    // One per local-phase block, recycled across supersteps: refilled by
-    // the local phase, drained by the communication phase.
-    outboxes: Vec<Vec<(ProcId, Payload)>>,
+    // Every send of a superstep in `(sender, submission)` order, recycled
+    // across supersteps: refilled by the local phase, drained by the
+    // communication phase.
+    outbox: Vec<(ProcId, Payload)>,
     halted: Vec<bool>,
-    // Per-superstep, per-processor tallies, recycled like the outboxes.
+    // Per-superstep, per-processor tallies, recycled like the outbox.
     scratch: Scratch,
     ledger: CostLedger,
     stats: BspReport,
@@ -62,7 +63,6 @@ pub struct BspMachine<P: BspProcess> {
     counters: Option<CounterBlock>,
     settled: Vec<(u64, u64, u64)>, // (local_ops, sent, received)
     superstep: u64,
-    threads: usize,
     stream: Option<u64>,
 }
 
@@ -84,7 +84,7 @@ impl<P: BspProcess> BspMachine<P> {
             config,
             procs,
             inboxes: vec![VecDeque::new(); p],
-            outboxes: Vec::new(),
+            outbox: Vec::new(),
             halted: vec![false; p],
             scratch: Scratch::default(),
             ledger: CostLedger::new(),
@@ -93,15 +93,8 @@ impl<P: BspProcess> BspMachine<P> {
             counters: None,
             settled: Vec::new(),
             superstep: 0,
-            threads: 1,
             stream: None,
         }
-    }
-
-    /// Run local computation phases on `n` OS threads (default 1). Results
-    /// and costs are identical for every `n`; see [`crate::parallel`].
-    pub fn set_threads(&mut self, n: usize) {
-        self.threads = n.max(1);
     }
 
     /// The machine parameters.
@@ -122,7 +115,7 @@ impl<P: BspProcess> BspMachine<P> {
     /// Apply shared [`RunOptions`]: attach the observability registry
     /// (per-processor counters, barrier-wait histograms, phase spans on
     /// the ledger clock — one branch per superstep when disabled), upgrade
-    /// tracing, and set the local-phase worker-thread count.
+    /// tracing, and set the pseudo-streaming window.
     pub fn instrument(&mut self, opts: &RunOptions) {
         self.instruments.apply(opts);
         // Counters stage in a plain local block on the driver thread and
@@ -136,7 +129,6 @@ impl<P: BspProcess> BspMachine<P> {
         } else {
             Vec::new()
         };
-        self.threads = opts.threads.max(1);
         // Pseudo-streaming: charge each h-relation in ⌈h/window⌉ rounds.
         self.stream = opts.stream;
     }
@@ -186,22 +178,33 @@ impl<P: BspProcess> BspMachine<P> {
         recvd.resize(p, 0);
         let t0 = self.ledger.total();
 
-        // Local computation phase (sequential or multithreaded; identical
-        // outcomes either way). Unread pool contents of non-retaining
-        // machines are discarded inside the phase, per §2.1.
-        crate::parallel::local_phase(
-            crate::parallel::LocalPhase {
-                procs: &mut self.procs,
-                inboxes: &mut self.inboxes,
-                halted: &mut self.halted,
-                w: &mut w_of,
-                sent: &mut sent,
-            },
-            &mut self.outboxes,
-            self.superstep,
-            self.config.retain_unread,
-            self.threads,
-        );
+        // Local computation phase: every live process in id order, each
+        // appending its sends to the one outbox. Unread pool contents of
+        // non-retaining machines are discarded as each process finishes,
+        // per §2.1.
+        for (i, ((((proc, inbox), halted), w), n)) in self
+            .procs
+            .iter_mut()
+            .zip(self.inboxes.iter_mut())
+            .zip(self.halted.iter_mut())
+            .zip(w_of.iter_mut())
+            .zip(sent.iter_mut())
+            .enumerate()
+        {
+            (*w, *n) = (0, 0);
+            if *halted {
+                continue;
+            }
+            let mut ctx =
+                SuperstepCtx::new(ProcId::from(i), p, self.superstep, inbox, &mut self.outbox);
+            let status = proc.superstep(&mut ctx);
+            let (work, k) = ctx.finish();
+            (*w, *n) = (work, k as u64);
+            *halted = status == Status::Halt;
+            if !self.config.retain_unread {
+                inbox.clear();
+            }
+        }
         let w_max = w_of.iter().copied().max().unwrap_or(0);
         self.comm_phase(&sent, &mut recvd);
 
@@ -251,23 +254,22 @@ impl<P: BspProcess> BspMachine<P> {
         Some(rec)
     }
 
-    /// The communication phase: deliver every send of the block outboxes,
-    /// in `(sender, submission)` order, to its destination's inbox, and
-    /// count each processor's arrivals into `recvd`. Read in block order the
-    /// outboxes hold the sends back to back, processor `i` contributing
-    /// `sent[i]` of them, so the `k`-th message gets id `first + k` — the id
-    /// a one-at-a-time allocation in that order hands out. Arrivals are
-    /// counted before the first push and each inbox is reserved for them
-    /// (see [`reserve_arrivals`]), so a steady exchange reuses every buffer.
+    /// The communication phase: deliver every send of the outbox, in
+    /// `(sender, submission)` order, to its destination's inbox, and count
+    /// each processor's arrivals into `recvd`. The outbox holds the sends
+    /// back to back, processor `i` contributing `sent[i]` of them, so the
+    /// `k`-th message gets id `first + k` — the id a one-at-a-time
+    /// allocation in that order hands out. Arrivals are counted before the
+    /// first push and each inbox is reserved for them (see
+    /// [`reserve_arrivals`]), so a steady exchange reuses every buffer.
     fn comm_phase(&mut self, sent: &[u64], recvd: &mut [u64]) {
         let now = self.ledger.total();
         let first = self.instruments.alloc_msg_id_block(sent.iter().sum()).0;
-        for &(dst, _) in self.outboxes.iter().flatten() {
+        for &(dst, _) in &self.outbox {
             recvd[dst.index()] += 1;
         }
         if self.instruments.trace.is_enabled() {
-            let msgs = self.outboxes.iter().flatten();
-            for (k, (src, &(dst, _))) in senders(sent).zip(msgs).enumerate() {
+            for (k, (src, &(dst, _))) in senders(sent).zip(&self.outbox).enumerate() {
                 self.instruments.trace.record(Event::Submit {
                     at: now,
                     proc: src,
@@ -279,8 +281,7 @@ impl<P: BspProcess> BspMachine<P> {
         for (inbox, &n) in self.inboxes.iter_mut().zip(recvd.iter()) {
             reserve_arrivals(inbox, n as usize);
         }
-        let msgs = self.outboxes.iter_mut().flat_map(|ob| ob.drain(..));
-        for (k, (src, (dst, payload))) in senders(sent).zip(msgs).enumerate() {
+        for (k, (src, (dst, payload))) in senders(sent).zip(self.outbox.drain(..)).enumerate() {
             self.inboxes[dst.index()].push_back(Envelope {
                 id: MsgId(first + k as u64),
                 src,
@@ -311,8 +312,8 @@ impl<P: BspProcess> BspMachine<P> {
         }
         // Phase-granular sampling: this engine emits every span of a
         // superstep at its barrier, so one admission decision (keyed on the
-        // superstep index — thread-invariant) covers the whole burst, and a
-        // rejected superstep never constructs a span at all.
+        // superstep index) covers the whole burst, and a rejected superstep
+        // never constructs a span at all.
         if spans_on && registry.admits_phase(rec.index) {
             for (i, &w_i) in w_of.iter().enumerate() {
                 let proc = ProcId::from(i);
@@ -395,8 +396,8 @@ impl<P: BspProcess> Executor for BspMachine<P> {
     }
 }
 
-/// The sender of each message of a superstep's outboxes, read in block
-/// order: processor `i` contributed `sent[i]` consecutive messages.
+/// The sender of each message of a superstep's outbox: processor `i`
+/// contributed `sent[i]` consecutive messages.
 fn senders(sent: &[u64]) -> impl Iterator<Item = ProcId> + '_ {
     sent.iter()
         .enumerate()

@@ -39,8 +39,8 @@ impl BspProcess for Box<dyn BspProcess> {
 /// unread stays there, ahead of the next communication phase's arrivals
 /// (the caller decides whether to keep or discard it, per the machine's
 /// pool semantics). Sends append to the caller's `outbox` after whatever it
-/// already holds, so one buffer can collect a whole block of processors'
-/// sends in `(sender, submission)` order.
+/// already holds, so one buffer can collect every processor's sends of a
+/// superstep in `(sender, submission)` order.
 #[derive(Debug)]
 pub struct SuperstepCtx<'a> {
     me: ProcId,

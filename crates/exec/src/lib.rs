@@ -8,8 +8,9 @@
 //!   [`RunOutcome`]) of the stepped engines (BSP machine, network router,
 //!   BSF machine), with [`drive`] as their one budget-enforcing loop.
 //! * [`RunOptions`] — the one way to parameterize a run (seed, trace,
-//!   registry, threads, clock base, budget), replacing positional-argument
-//!   growth and forked `*_obs` entry points.
+//!   registry, observability tier, LogP shards, clock base, budget, fault
+//!   decorator, streaming window), replacing positional-argument growth and
+//!   forked `*_obs` entry points.
 //! * [`Instruments`] — the per-machine instrumentation bundle (trace,
 //!   registry, message-id allocator), deduplicated out of every engine.
 //! * [`Medium`] — the transport seam between submission and delivery, so a
@@ -27,7 +28,7 @@ mod options;
 mod outcome;
 mod phase;
 
-pub use medium::{wrap_medium, Medium, StreamMedium, WrapMedium};
+pub use medium::{Medium, WrapMedium};
 pub use options::{Instruments, RunOptions};
 pub use outcome::{drive, Executor, RunOutcome};
 pub use phase::Phase;

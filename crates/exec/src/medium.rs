@@ -16,7 +16,6 @@
 
 use bvl_model::{Envelope, ProcId, Steps};
 use rand::RngCore;
-use std::sync::Arc;
 
 /// The transport between submission (accept) and delivery.
 ///
@@ -139,80 +138,6 @@ impl std::fmt::Debug for dyn WrapMedium {
     }
 }
 
-/// The transport face of pseudo-streaming: a decorator that caps the
-/// inner medium's per-destination capacity at the streaming window, so a
-/// message-level engine run under [`crate::RunOptions::stream`] admits at
-/// most `window` in-flight messages per destination — the bounded working
-/// set — while delivery times, duplication and wake hints pass through
-/// untouched. The superstep-level engines model the same window by
-/// splitting each h-relation into `⌈h/window⌉` synchronization rounds;
-/// this wrapper is the equivalent knob for engines whose unit of transport
-/// is the individual message.
-pub struct StreamMedium {
-    inner: Box<dyn Medium + Send>,
-    window: u64,
-}
-
-impl StreamMedium {
-    /// Cap `inner`'s per-destination capacity at `window` (clamped ≥ 1).
-    pub fn new(inner: Box<dyn Medium + Send>, window: u64) -> StreamMedium {
-        StreamMedium {
-            inner,
-            window: window.max(1),
-        }
-    }
-}
-
-impl Medium for StreamMedium {
-    fn capacity(&self, dst: ProcId, now: Steps) -> u64 {
-        self.inner.capacity(dst, now).min(self.window)
-    }
-
-    fn delivery_time(&mut self, env: &Envelope, now: Steps, rng: &mut dyn RngCore) -> Steps {
-        self.inner.delivery_time(env, now, rng)
-    }
-
-    fn duplicate_delivery(
-        &mut self,
-        env: &Envelope,
-        scheduled: Steps,
-        now: Steps,
-        rng: &mut dyn RngCore,
-    ) -> Option<Steps> {
-        self.inner.duplicate_delivery(env, scheduled, now, rng)
-    }
-
-    fn may_duplicate(&self) -> bool {
-        self.inner.may_duplicate()
-    }
-
-    fn wake_hint(&mut self, dst: ProcId, now: Steps) -> Option<Steps> {
-        self.inner.wake_hint(dst, now)
-    }
-
-    fn name(&self) -> &'static str {
-        "streamed"
-    }
-
-    fn shard_replica(&self) -> Option<Box<dyn Medium + Send>> {
-        self.inner
-            .shard_replica()
-            .map(|m| Box::new(StreamMedium::new(m, self.window)) as Box<dyn Medium + Send>)
-    }
-}
-
-/// Apply an optional decorator to a medium (identity when `wrap` is
-/// `None`). The helper engines use to honour [`crate::RunOptions::fault`].
-pub fn wrap_medium(
-    wrap: Option<&Arc<dyn WrapMedium>>,
-    inner: Box<dyn Medium + Send>,
-) -> Box<dyn Medium + Send> {
-    match wrap {
-        Some(w) => w.wrap(inner),
-        None => inner,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,86 +198,6 @@ mod tests {
         let mut m = FixedDelay(0); // delivery at `now` — instantaneous
         let mut rng = rand_stub();
         let _ = m.delivery_time_checked(&env(), Steps(5), &mut rng);
-    }
-
-    #[test]
-    fn stream_medium_caps_capacity_only() {
-        struct Wide;
-        impl Medium for Wide {
-            fn capacity(&self, _dst: ProcId, _now: Steps) -> u64 {
-                100
-            }
-            fn delivery_time(
-                &mut self,
-                _env: &Envelope,
-                now: Steps,
-                _rng: &mut dyn RngCore,
-            ) -> Steps {
-                now + Steps(9)
-            }
-            fn shard_replica(&self) -> Option<Box<dyn Medium + Send>> {
-                Some(Box::new(Wide))
-            }
-        }
-        let mut m = StreamMedium::new(Box::new(Wide), 4);
-        assert_eq!(m.capacity(ProcId(0), Steps::ZERO), 4);
-        let mut rng = rand_stub();
-        assert_eq!(m.delivery_time(&env(), Steps(1), &mut rng), Steps(10));
-        assert_eq!(m.name(), "streamed");
-        // Replicas keep the cap; a window of 0 clamps to 1.
-        let rep = m.shard_replica().expect("inner is replicable");
-        assert_eq!(rep.capacity(ProcId(0), Steps::ZERO), 4);
-        assert_eq!(
-            StreamMedium::new(Box::new(Wide), 0).capacity(ProcId(0), Steps::ZERO),
-            1
-        );
-        // The cap never *raises* a narrow medium's capacity.
-        assert_eq!(
-            StreamMedium::new(Box::new(FixedDelay(1)), 8).capacity(ProcId(0), Steps::ZERO),
-            1
-        );
-    }
-
-    #[test]
-    fn wrap_medium_identity_when_absent() {
-        let m = wrap_medium(None, Box::new(FixedDelay(2)));
-        assert_eq!(m.name(), "medium");
-    }
-
-    #[test]
-    fn wrap_medium_applies_decorator() {
-        struct Relabel;
-        struct Relabeled(Box<dyn Medium + Send>);
-        impl Medium for Relabeled {
-            fn capacity(&self, dst: ProcId, now: Steps) -> u64 {
-                self.0.capacity(dst, now)
-            }
-            fn delivery_time(
-                &mut self,
-                env: &Envelope,
-                now: Steps,
-                rng: &mut dyn RngCore,
-            ) -> Steps {
-                self.0.delivery_time(env, now, rng)
-            }
-            fn name(&self) -> &'static str {
-                "relabeled"
-            }
-        }
-        impl WrapMedium for Relabel {
-            fn wrap(&self, inner: Box<dyn Medium + Send>) -> Box<dyn Medium + Send> {
-                Box::new(Relabeled(inner))
-            }
-            fn label(&self) -> String {
-                "relabel".into()
-            }
-        }
-        let wrap: Arc<dyn WrapMedium> = Arc::new(Relabel);
-        let mut m = wrap_medium(Some(&wrap), Box::new(FixedDelay(2)));
-        assert_eq!(m.name(), "relabeled");
-        let mut rng = rand_stub();
-        assert_eq!(m.delivery_time(&env(), Steps(1), &mut rng), Steps(3));
-        assert_eq!(format!("{:?}", &*wrap), "WrapMedium(relabel)");
     }
 
     fn rand_stub() -> impl RngCore {

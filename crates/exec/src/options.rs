@@ -16,7 +16,8 @@ use std::sync::Arc;
 ///
 /// Construct with the builder methods; `RunOptions::default()` reproduces
 /// the historical defaults (seed 0, untraced, disabled registry, one
-/// thread, clock at zero, engine-default budget):
+/// shard, clock at zero, engine-default budget). Not every engine honours
+/// every field; each field's doc names the ones that do.
 ///
 /// ```
 /// use bvl_exec::RunOptions;
@@ -29,7 +30,11 @@ use std::sync::Arc;
 /// ```
 #[derive(Clone, Debug)]
 pub struct RunOptions {
-    /// Master seed for every randomized policy in the run.
+    /// Master seed for the randomized choices of the cross-simulations
+    /// that take these options; each copies it into the `LogpConfig` of
+    /// the machines it builds. A `LogpMachine` takes its policy seed from
+    /// `LogpConfig::seed` at construction, and its `instrument` ignores
+    /// this field.
     pub seed: u64,
     /// Record a full event trace (off by default; hot paths stay clean).
     pub trace: bool,
@@ -41,12 +46,12 @@ pub struct RunOptions {
     /// historical behaviour — by default. Observability-only: excluded
     /// from [`RunOptions::canonical`] like the registry itself.
     pub obs_tier: Tier,
-    /// Worker threads for engines with a parallel local phase (BSP).
-    pub threads: usize,
     /// Shards for the LogP engine, which partitions the simulated machine
-    /// itself across worker threads (DESIGN.md §13). Like `threads`, shard
-    /// count is determinism-invariant by contract: results and traces are
-    /// bit-identical at any shard count.
+    /// itself across worker threads (DESIGN.md §13); the only way to set
+    /// its shard count. Shard count is determinism-invariant by contract:
+    /// results and traces are bit-identical at any shard count. The BSP
+    /// machine, the router and the BSF machine run on the calling thread
+    /// and ignore it.
     pub shards: usize,
     /// Virtual-clock offset: spans and derived times are reported relative
     /// to this base (used when a run is one phase of a larger simulation).
@@ -60,12 +65,14 @@ pub struct RunOptions {
     /// pick faults up from the one options struct, no API forks.
     pub fault: Option<Arc<dyn WrapMedium>>,
     /// Pseudo-streaming window (Buurlage-style bounded-memory supersteps):
-    /// when set, engines that charge whole h-relations instead stream each
-    /// relation through a working set of at most `window` messages per
-    /// processor, paying one extra synchronization `ℓ` per additional
-    /// round — cost `w + g·h + ℓ·⌈h/window⌉` per superstep. `None` (the
-    /// default) is the classical one-shot h-relation. Result-affecting:
-    /// included in [`RunOptions::canonical`].
+    /// when set, the BSP machine's ledger (`CostLedger::charge_streamed`)
+    /// streams each h-relation through a working set of at most `window`
+    /// messages per processor, paying one extra synchronization `ℓ` per
+    /// additional round — cost `w + g·h + ℓ·⌈h/window⌉` per superstep.
+    /// That ledger is the only reader: a LogP machine run under these
+    /// options runs unstreamed. `None` (the default) is the classical
+    /// one-shot h-relation. Result-affecting: included in
+    /// [`RunOptions::canonical`].
     pub stream: Option<u64>,
 }
 
@@ -76,7 +83,6 @@ impl Default for RunOptions {
             trace: false,
             registry: Registry::disabled(),
             obs_tier: Tier::Full,
-            threads: 1,
             shards: 1,
             clock_base: Steps::ZERO,
             budget: None,
@@ -117,13 +123,6 @@ impl RunOptions {
     #[must_use]
     pub fn obs(mut self, tier: Tier) -> RunOptions {
         self.obs_tier = tier;
-        self
-    }
-
-    /// Set the worker-thread count for parallel local phases.
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> RunOptions {
-        self.threads = threads.max(1);
         self
     }
 
@@ -184,9 +183,9 @@ impl RunOptions {
     /// options values with equal canonical forms are behaviourally
     /// interchangeable; fields that only affect observability (the
     /// registry, whose spans never feed back into the simulation) are
-    /// deliberately excluded, and `threads`/`shards` are excluded because
-    /// every engine's determinism contract makes results invariant under
-    /// both thread count and shard count.
+    /// deliberately excluded, and `shards` is excluded because the LogP
+    /// engine's determinism contract makes results invariant under shard
+    /// count.
     ///
     /// The format is a stable `k=v` list — append-only by construction
     /// (new fields must be added at the end with a `-` default so that old
@@ -301,7 +300,6 @@ mod tests {
         assert_eq!(opts.seed, 0);
         assert!(!opts.trace);
         assert!(!opts.registry.is_enabled());
-        assert_eq!(opts.threads, 1);
         assert_eq!(opts.shards, 1);
         assert_eq!(opts.clock_base, Steps::ZERO);
         assert_eq!(opts.budget_or(123), 123);
@@ -312,19 +310,18 @@ mod tests {
         let opts = RunOptions::new()
             .seed(7)
             .traced()
-            .threads(4)
+            .shards(4)
             .at(Steps(100))
             .budget(50);
         assert_eq!(opts.seed, 7);
         assert!(opts.trace);
-        assert_eq!(opts.threads, 4);
+        assert_eq!(opts.shards, 4);
         assert_eq!(opts.clock_base, Steps(100));
         assert_eq!(opts.budget_or(123), 50);
     }
 
     #[test]
-    fn threads_clamp_to_one() {
-        assert_eq!(RunOptions::new().threads(0).threads, 1);
+    fn shards_clamp_to_one() {
         assert_eq!(RunOptions::new().shards(0).shards, 1);
     }
 
@@ -352,8 +349,10 @@ mod tests {
         assert_eq!(sub.shards, 4, "shards propagate: pure parallelism");
         assert!(!sub.trace, "instrumentation does not");
         assert!(!RunOptions::new().faulted());
-        // Debug must not choke on the trait object.
-        assert!(format!("{opts:?}").contains("noop"));
+        // Debug must not choke on the trait object, and names the label.
+        let fault = opts.fault.as_deref().expect("set above");
+        assert_eq!(format!("{fault:?}"), "WrapMedium(noop)");
+        assert!(format!("{opts:?}").contains("WrapMedium(noop)"));
     }
 
     #[test]
@@ -377,8 +376,7 @@ mod tests {
         // the cache key.
         let reg = Registry::enabled(4);
         assert_eq!(opts.clone().registry(&reg).canonical(), opts.canonical());
-        // Thread and shard counts are determinism-invariant by contract.
-        assert_eq!(opts.clone().threads(8).canonical(), opts.canonical());
+        // The shard count is determinism-invariant by contract.
         assert_eq!(opts.clone().shards(4).canonical(), opts.canonical());
         // The observability tier is observability-only too: spans never
         // feed back into the simulation, so the tier must not move keys.

@@ -1108,6 +1108,9 @@ pub struct LogpMachine<P: LogpProcess> {
     programs: Vec<P>,
     medium: Box<dyn Medium + Send>,
     dedup: bool,
+    // Requested worker shards; set only by `instrument` from
+    // `RunOptions::shards`.
+    shards: usize,
     instruments: Instruments,
     latency: Accumulator,
     makespan: Steps,
@@ -1134,6 +1137,7 @@ impl<P: LogpProcess> LogpMachine<P> {
             programs,
             medium: Box::new(PolicyMedium::new(params, config.delivery)),
             dedup: false,
+            shards: 1,
             instruments: Instruments::new(config.trace),
             latency: Accumulator::new(),
             makespan: Steps::ZERO,
@@ -1146,7 +1150,7 @@ impl<P: LogpProcess> LogpMachine<P> {
     /// Apply shared [`RunOptions`]: attach the observability registry
     /// (per-processor counters, latency/stall histograms, one
     /// [`SpanKind::Stall`] span per stall window — one branch per site when
-    /// disabled), upgrade tracing, apply an explicit event budget, raise
+    /// disabled), upgrade tracing, apply an explicit event budget, set
     /// the shard count, and wrap the transport in the options' fault
     /// decorator (if any) — the decorator composes over whatever medium is
     /// installed, so faults apply equally to the abstract channel and to a
@@ -1157,7 +1161,7 @@ impl<P: LogpProcess> LogpMachine<P> {
         if let Some(budget) = opts.budget {
             self.config.max_events = budget;
         }
-        self.config.shards = self.config.shards.max(opts.shards);
+        self.shards = opts.shards;
         if let Some(wrap) = &opts.fault {
             assert!(!self.started, "faults must be injected before the run");
             let placeholder: Box<dyn Medium + Send> =
@@ -1224,8 +1228,9 @@ impl<P: LogpProcess> LogpMachine<P> {
 
     /// Run to quiescence and return the report.
     ///
-    /// Single-shot. Partitions the machine into `config.shards` shards
-    /// (clamped to `p`; silently 1 when the medium has no
+    /// Single-shot. Partitions the machine into the shards
+    /// [`LogpMachine::instrument`] set from [`RunOptions::shards`] (1 by
+    /// default; clamped to `p`; silently 1 when the medium has no
     /// [`Medium::shard_replica`]) and executes them in lock-step on scoped
     /// worker threads; results and traces are bit-identical at any shard
     /// count. Event-budget exhaustion is a [`ModelError::Timeout`]; a
@@ -1234,7 +1239,7 @@ impl<P: LogpProcess> LogpMachine<P> {
     pub fn run(&mut self) -> Result<LogpReport, ModelError> {
         assert!(!self.started, "LogpMachine::run may only be called once");
         self.started = true;
-        let requested = self.config.shards.max(1);
+        let requested = self.shards.max(1);
         let shards_n = if requested > 1 && self.medium.shard_replica().is_some() {
             requested
         } else {
@@ -1721,17 +1726,24 @@ mod shard_tests {
         programs: Vec<Script>,
     ) -> (LogpReport, String) {
         let params = LogpParams::new(p, 4, 1, 2).unwrap();
-        let mut m = LogpMachine::with_config(
-            params,
-            LogpConfig {
-                shards,
-                trace: true,
-                ..config
-            },
-            programs,
-        );
+        let config = LogpConfig { trace: true, ..config };
+        let mut m = LogpMachine::with_config(params, config, programs);
+        m.instrument(&RunOptions::new().shards(shards));
         let report = m.run().unwrap();
         (report, format!("{:?}", m.trace().events()))
+    }
+
+    /// `RunOptions::shards` is the one setter of the shard count: a machine
+    /// never instrumented runs one shard, and `instrument` applies the
+    /// options' count as given.
+    #[test]
+    fn instrument_sets_the_shard_count() {
+        let mut m = LogpMachine::new(LogpParams::new(5, 4, 1, 2).unwrap(), hot_spot(5));
+        assert_eq!(m.shards, 1);
+        m.instrument(&RunOptions::new().shards(3));
+        assert_eq!(m.shards, 3);
+        m.instrument(&RunOptions::new());
+        assert_eq!(m.shards, 1, "a later call replaces the count");
     }
 
     /// The acceptance bar in miniature: the hot-spot workload produces
@@ -1783,14 +1795,8 @@ mod shard_tests {
         for shards in [1usize, 2, 3] {
             let params = LogpParams::new(3, 4, 1, 2).unwrap();
             let programs = vec![Script::new([Op::Recv]), Script::idle(), Script::idle()];
-            let mut m = LogpMachine::with_config(
-                params,
-                LogpConfig {
-                    shards,
-                    ..LogpConfig::default()
-                },
-                programs,
-            );
+            let mut m = LogpMachine::new(params, programs);
+            m.instrument(&RunOptions::new().shards(shards));
             match m.run() {
                 Err(ModelError::Deadlock { waiting }) => assert_eq!(waiting, vec![ProcId(0)]),
                 other => panic!("expected deadlock at {shards} shards, got {other:?}"),
@@ -1806,15 +1812,8 @@ mod shard_tests {
             let params = LogpParams::new(4, 4, 1, 2).unwrap();
             let mut programs = vec![Script::new(vec![Op::Recv; 3])];
             programs.extend((1..4).map(|i| Script::new([send(0, i as i64)])));
-            let mut m = LogpMachine::with_config(
-                params,
-                LogpConfig {
-                    shards,
-                    max_events: 5,
-                    ..LogpConfig::default()
-                },
-                programs,
-            );
+            let mut m = LogpMachine::new(params, programs);
+            m.instrument(&RunOptions::new().shards(shards).budget(5));
             assert!(
                 matches!(m.run(), Err(ModelError::Timeout { budget: 5 })),
                 "expected timeout at {shards} shards"

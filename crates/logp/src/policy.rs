@@ -116,10 +116,6 @@ pub struct LogpConfig {
     /// `BinaryHeap` produce bit-identical traces; the heap is kept for
     /// differential tests and benchmarks.
     pub timeline: TimelineKind,
-    /// Worker shards the simulated machine is partitioned across (see
-    /// DESIGN.md §13). Results and traces are bit-identical at any shard
-    /// count; 1 (the default) runs the whole machine on the calling thread.
-    pub shards: usize,
 }
 
 impl Default for LogpConfig {
@@ -132,7 +128,6 @@ impl Default for LogpConfig {
             max_events: 200_000_000,
             seed: 0,
             timeline: TimelineKind::default(),
-            shards: 1,
         }
     }
 }

@@ -1,10 +1,8 @@
-//! The shared `--trace-out <path>`, `--shards <n>` and `--obs-tier <t>`
-//! flags.
+//! The shared `--trace-out <path>` and `--obs-tier <t>` flags.
 //!
 //! Every `exp_*` binary accepts `--trace-out <path>` (or
 //! `--trace-out=<path>`) and, when present, writes the flagged cell's trace
-//! there via [`crate::export::write_trace_file`]; `--shards <n>` (or
-//! `--shards=<n>`) selects the engine shard count the same way; and
+//! there via [`crate::export::write_trace_file`], and
 //! `--obs-tier <off|counters|sampled[:rate]|full>` selects the recording
 //! [`Tier`]. Parsing lives here so the binaries stay one-liner thin and
 //! agree on the syntax.
@@ -34,33 +32,6 @@ pub fn trace_out_from<I: IntoIterator<Item = String>>(args: I) -> Option<PathBuf
 /// [`trace_out_from`] applied to this process's arguments.
 pub fn trace_out() -> Option<PathBuf> {
     trace_out_from(std::env::args().skip(1))
-}
-
-/// Extract `--shards <n>` / `--shards=<n>` from an argument stream.
-/// Returns 1 (run unsharded) when the flag is absent, valueless, zero, or
-/// not an integer — sharding is an opt-in accelerator, never an error.
-pub fn shards_from<I: IntoIterator<Item = String>>(args: I) -> usize {
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        let v = if arg == "--shards" {
-            it.next()
-        } else {
-            arg.strip_prefix("--shards=").map(str::to_string)
-        };
-        if let Some(v) = v {
-            if let Ok(n) = v.parse::<usize>() {
-                if n >= 1 {
-                    return n;
-                }
-            }
-        }
-    }
-    1
-}
-
-/// [`shards_from`] applied to this process's arguments.
-pub fn shards() -> usize {
-    shards_from(std::env::args().skip(1))
 }
 
 /// Extract `--obs-tier <t>` / `--obs-tier=<t>` from an argument stream,
@@ -111,25 +82,6 @@ mod tests {
         assert_eq!(parse(&["--other"]), None);
         assert_eq!(parse(&["--trace-out"]), None);
         assert_eq!(parse(&["--trace-out="]), None);
-    }
-
-    fn parse_shards(args: &[&str]) -> usize {
-        shards_from(args.iter().map(|s| s.to_string()))
-    }
-
-    #[test]
-    fn shards_parses_both_spellings() {
-        assert_eq!(parse_shards(&["--shards", "4"]), 4);
-        assert_eq!(parse_shards(&["--shards=8"]), 8);
-        assert_eq!(parse_shards(&["x", "--shards", "2", "y"]), 2);
-    }
-
-    #[test]
-    fn shards_defaults_to_one() {
-        assert_eq!(parse_shards(&[]), 1);
-        assert_eq!(parse_shards(&["--shards"]), 1);
-        assert_eq!(parse_shards(&["--shards=0"]), 1);
-        assert_eq!(parse_shards(&["--shards=lots"]), 1);
     }
 
     fn parse_tier(args: &[&str]) -> Tier {

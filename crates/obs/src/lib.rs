@@ -19,7 +19,7 @@
 //! * [`export`] — Chrome/Perfetto `trace_event` JSON and a compact JSONL
 //!   format for `bvl_model::Trace` + spans, selected by file extension, plus
 //!   a dependency-free JSONL parser for validation tooling.
-//! * [`cli`] — the shared `--trace-out <path>` flag.
+//! * [`cli`] — the shared `--trace-out <path>` and `--obs-tier <t>` flags.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

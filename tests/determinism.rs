@@ -1,7 +1,6 @@
 //! Reproducibility: identical seeds produce identical runs, everywhere —
 //! the property that makes every number in EXPERIMENTS.md replayable.
 
-use bsp_vs_logp::bsp::{BspMachine, BspParams, FnProcess, Status};
 use bsp_vs_logp::core::{route_deterministic, route_randomized, SortScheme};
 use bsp_vs_logp::exec::RunOptions;
 use bsp_vs_logp::logp::{
@@ -57,44 +56,6 @@ fn logp_runs_are_seed_deterministic_under_random_policies() {
     // And different seeds genuinely explore different schedules.
     let outcomes: Vec<_> = (0..8).map(run).collect();
     assert!(outcomes.iter().any(|o| o != &outcomes[0]));
-}
-
-#[test]
-fn bsp_parallel_threads_do_not_change_anything() {
-    let build = || -> Vec<FnProcess<i64>> {
-        (0..32)
-            .map(|_| {
-                FnProcess::new(0i64, |acc, ctx| {
-                    let p = ctx.p();
-                    if ctx.superstep_index() > 0 {
-                        while let Some(m) = ctx.recv() {
-                            *acc = acc.wrapping_mul(31) + m.payload.expect_word();
-                        }
-                    }
-                    if ctx.superstep_index() < 6 {
-                        let me = ctx.me().index();
-                        ctx.send(ProcId::from((me * 5 + 1) % p), Payload::word(0, *acc + me as i64));
-                        ctx.send(ProcId::from((me * 3 + 2) % p), Payload::word(0, *acc - 1));
-                        Status::Continue
-                    } else {
-                        Status::Halt
-                    }
-                })
-            })
-            .collect()
-    };
-    let params = BspParams::new(32, 2, 8).unwrap();
-    let mut results = Vec::new();
-    for threads in [1usize, 2, 5, 16] {
-        let mut m = BspMachine::new(params, build());
-        m.set_threads(threads);
-        let report = m.run(16).unwrap();
-        let states: Vec<i64> = m.into_processes().iter().map(|p| *p.state()).collect();
-        results.push((report.cost, states));
-    }
-    for r in &results[1..] {
-        assert_eq!(r, &results[0]);
-    }
 }
 
 /// A stalling-heavy workload: every other processor floods processor 0 far

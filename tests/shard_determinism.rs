@@ -15,8 +15,8 @@ use bsp_vs_logp::fault::{Dist, Fault, FaultPlan};
 use bsp_vs_logp::logp::{
     AcceptOrder, DeliveryPolicy, LogpConfig, LogpMachine, LogpParams, LogpReport, Op, Script,
 };
-use bsp_vs_logp::model::{ModelError, Payload, ProcId};
-use bsp_vs_logp::obs::{Registry, Tier};
+use bsp_vs_logp::model::{ModelError, Payload, ProcId, Steps};
+use bsp_vs_logp::obs::{Registry, Span, SpanKind, Tier};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -169,7 +169,7 @@ fn sampled_span_logs_are_shard_invariant() {
     let p = 12;
     let params = LogpParams::new(p, 16, 1, 2).unwrap();
     let scripts = hot_spot_scripts(p, 6);
-    let capture = |tier: Tier, shards: usize| -> Vec<bsp_vs_logp::obs::Span> {
+    let capture = |tier: Tier, shards: usize| -> Vec<Span> {
         let reg = Registry::tiered(p, tier, 0x5eed);
         let mut m = LogpMachine::with_config(params, LogpConfig::default(), scripts.clone());
         m.instrument(&RunOptions::new().registry(&reg).shards(shards));
@@ -197,10 +197,11 @@ fn sampled_span_logs_are_shard_invariant() {
     }
 }
 
-/// The BSP engine samples at phase granularity (whole supersteps): the
-/// kept subset is keyed on the superstep index and is a strict, non-empty
-/// subset of the full log. The BSP machine is not sharded; the name dates
-/// from when its communication phase was.
+/// The BSP engine samples at phase granularity (whole supersteps): for
+/// every superstep the sampler admits, the sampled log holds exactly the
+/// full log's spans of that superstep, and it holds no span of a rejected
+/// one. The BSP machine has neither shards nor threads; the name dates
+/// from when its communication phase was sharded.
 #[test]
 fn bsp_sampled_span_logs_are_shard_invariant() {
     let p = 8;
@@ -224,30 +225,56 @@ fn bsp_sampled_span_logs_are_shard_invariant() {
             })
             .collect()
     };
-    let capture = |tier: Tier| -> Vec<bsp_vs_logp::obs::Span> {
+    const KEY: u64 = 0x1996;
+    let capture = |tier: Tier| -> Vec<Span> {
         let params = BspParams::new(p, 2, 4).unwrap();
-        let reg = Registry::tiered(p, tier, 0x1996);
+        let reg = Registry::tiered(p, tier, KEY);
         let mut m = BspMachine::new(params, procs());
         m.instrument(&RunOptions::new().registry(&reg));
         m.run(64).unwrap();
         reg.spans()
     };
+    let tier = Tier::Sampled { rate: 4 };
     let full = capture(Tier::Full);
-    let sampled = capture(Tier::Sampled { rate: 4 });
+    let sampled = capture(tier);
     assert!(
         !sampled.is_empty() && sampled.len() < full.len(),
         "phase sampling must keep a strict non-empty subset ({} of {})",
         sampled.len(),
         full.len()
     );
-    for span in &sampled {
-        assert!(full.contains(span), "sampled span not in the full log: {span:?}");
+    // Each superstep's spans lie in its `Superstep` span's `[start, end)`
+    // (every superstep costs at least ℓ > 0), so a span's start names its
+    // superstep; the indexed ones must agree.
+    let bounds: Vec<(u64, Steps, Steps)> = full
+        .iter()
+        .filter(|s| s.kind == SpanKind::Superstep)
+        .map(|s| (s.index.expect("Superstep spans are indexed"), s.start, s.end))
+        .collect();
+    let of_superstep = |log: &[Span], k: u64| -> Vec<Span> {
+        let &(_, start, end) = bounds.iter().find(|b| b.0 == k).expect("known superstep");
+        let burst: Vec<Span> =
+            log.iter().filter(|s| start <= s.start && s.start < end).copied().collect();
+        for s in &burst {
+            assert!(s.index.is_none_or(|i| i == k), "superstep {k} holds {s:?}");
+        }
+        burst
+    };
+    let sampler = Registry::tiered(p, tier, KEY);
+    let (mut admitted, mut kept) = (0, 0);
+    for &(k, _, _) in &bounds {
+        let got = of_superstep(&sampled, k);
+        if sampler.admits_phase(k) {
+            assert_eq!(got, of_superstep(&full, k), "superstep {k} admitted, burst not whole");
+            admitted += 1;
+        } else {
+            assert!(got.is_empty(), "superstep {k} was rejected but kept {got:?}");
+        }
+        kept += got.len();
     }
-    // Phase granularity: every sampled Superstep span arrives with its
-    // whole burst — the per-superstep span count matches the full log's
-    // count for that superstep index.
-    let supersteps: Vec<u64> = sampled.iter().filter_map(|s| s.index).collect();
-    assert!(!supersteps.is_empty(), "no indexed spans kept");
+    assert_eq!(kept, sampled.len(), "a sampled span lies outside every superstep");
+    let n = bounds.len();
+    assert!(0 < admitted && admitted < n, "{admitted} of {n} supersteps admitted");
 }
 
 /// Strategy: a deadlock-free random workload — every processor sends to a
